@@ -42,9 +42,7 @@ __all__ = [
     "reduce_sum",
     "dropout",
     "softmax",
-    "softmax_cross_entropy",
     "softmax_cross_entropy_rows",
-    "elementwise",
     "activation_fn",
     "backward",
     "grad_check",
@@ -434,30 +432,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _result(y, (x,), rule)
 
 
-def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """-log softmax(logits)[target] for a 1-d logit vector, computed with
-    max subtraction; backward is softmax(logits) - onehot(target)."""
-    if logits.ndim != 1 or logits.size < 1:
-        raise ShapeError(f"softmax_cross_entropy needs a 1-d logit vector, got {logits.shape}")
-    c = logits.shape[0]
-    target = int(target)
-    if not 0 <= target < c:
-        raise ValueError(f"target {target} out of range for {c} classes")
-    z = logits.data
-    m = z.max()
-    shifted = z - m
-    lse = m + np.log(np.exp(shifted).sum())
-    loss = lse - z[target]
-    probs = _softmax_values(z, axis=-1)
-
-    def rule(g: np.ndarray):
-        gz = probs.copy()
-        gz[target] -= 1.0
-        return (gz * g,)
-
-    return _result(np.float64(loss), (logits,), rule)
-
-
 def softmax_cross_entropy_rows(logits: Tensor, targets) -> Tensor:
     """Per-row cross entropy: (B,C) logits and B integer targets -> (B,) losses."""
     if logits.ndim != 2:
@@ -480,30 +454,6 @@ def softmax_cross_entropy_rows(logits: Tensor, targets) -> Tensor:
         return (gz * g[:, None],)
 
     return _result(losses, (logits,), rule)
-
-
-_ELEMENTWISE = {"relu", "tanh", "sigmoid", "add", "mul", "concat", "reshape"}
-
-
-def elementwise(op: str, *inputs: Tensor, axis: int = 0, shape: Sequence[int] | None = None) -> Tensor:
-    """Name-dispatched entry point for the pointwise/shape operations."""
-    if op not in _ELEMENTWISE:
-        raise ValueError(f"unknown elementwise op {op!r}; expected one of {sorted(_ELEMENTWISE)}")
-    if op in ("relu", "tanh", "sigmoid"):
-        (x,) = inputs
-        return ACTIVATIONS[op](x)
-    if op == "add":
-        a, b = inputs
-        return add(a, b)
-    if op == "mul":
-        a, b = inputs
-        return mul(a, b)
-    if op == "concat":
-        return concat(inputs, axis=axis)
-    (x,) = inputs
-    if shape is None:
-        raise ValueError("reshape needs a target shape")
-    return reshape(x, shape)
 
 
 # ---------------------------------------------------------------------------

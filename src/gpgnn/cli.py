@@ -32,10 +32,7 @@ from .corpus import (
 from .evaluation import (
     EvaluationError,
     metrics_report,
-    gold_facts,
-    rank_facts,
     records_from_pairs,
-    score_bags,
     write_metrics_report,
     write_pr_csv,
     write_predictions,
@@ -115,7 +112,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -283,12 +279,8 @@ def cmd_train(args, argv) -> int:
         overrides["seed"] = args.seed
     if args.layers is not None:
         overrides["layers"] = args.layers
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if overrides:
         config = TrainConfig.from_dict({**config.to_dict(), **overrides})
-    if config.workers > 1:
-        print("workers > 1 runs the serial reference path; results are identical", file=sys.stderr)
 
     relations = RelationVocab.from_files(args.relations, args.inverse_map)
     train, train_skips = _load_split(args.train, relations)
@@ -357,18 +349,15 @@ def cmd_eval(args, argv) -> int:
     model, config, relations = load_trained_model(args.model_dir)
     data, skips = _load_split(args.data, relations)
     records = records_from_pairs(predict_pairs(model, data))
-    report = metrics_report(records, relations, population=args.population)
+    report, ranked = metrics_report(records, relations, population=args.population)
     report["counts"]["normalization_skips"] = skips
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_metrics_report(out / "metrics.json", report)
     write_predictions(out / "predictions.jsonl", records)
     outputs = ["metrics.json", "predictions.jsonl"]
-    bags = score_bags(records)
-    gold = gold_facts(records)
-    if bags and gold:
-        ranked = rank_facts(bags, gold, relations, population=args.population)
-        write_pr_csv(out / "pr_curve.csv", ranked, len(gold))
+    if ranked is not None:
+        write_pr_csv(out / "pr_curve.csv", ranked, report["counts"]["gold_facts"])
         outputs.append("pr_curve.csv")
     inputs = [args.data, Path(args.model_dir) / "model.json", Path(args.model_dir) / "checkpoint.bin"]
     _write_manifest(out, "eval", argv, config.seed, inputs, outputs,

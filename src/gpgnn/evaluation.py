@@ -271,9 +271,11 @@ def metrics_report(
     relations: RelationVocab,
     population: str = "predictions",
     k_values: Sequence[int] = (5, 10, 15, 20),
-) -> dict:
+) -> tuple[dict, list[RankedFact] | None]:
     """Sentence metrics plus bag-level P@K%, with the decisions that shaped
-    the numbers echoed alongside them."""
+    the numbers echoed alongside them.  Also returns the ranked facts the
+    P@K% values came from (None when there are no bags or no gold facts),
+    so a caller can write the PR curve without ranking again."""
     sent = sentence_metrics(records, relations)
     bags = score_bags(records)
     gold = gold_facts(records)
@@ -295,6 +297,7 @@ def metrics_report(
             "p_at_population": population,
         },
     }
+    ranked = None
     if bags and gold:
         ranked = rank_facts(bags, gold, relations, population=population)
         report["counts"]["candidates"] = len(ranked)
@@ -303,7 +306,7 @@ def metrics_report(
             report["p_at"][str(k)] = (
                 precision_at_k_percent(ranked, float(k), total=total) if ranked else 0.0
             )
-    return report
+    return report, ranked
 
 
 def write_metrics_report(path, report: dict) -> None:

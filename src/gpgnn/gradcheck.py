@@ -1,17 +1,20 @@
 """Full-model gradient oracle: check every trainable parameter of a small
-model against central finite differences on toy chain sentences.
+model against central finite differences on a toy chain sentence.
 
-Dropout is forced off so repeated forward passes probe one deterministic
-function, which is what the central-difference estimate requires.
+The loss is the one training minimizes, built by ``batch_losses``, so the
+oracle checks the code that training runs.  Dropout is forced off so
+repeated forward passes probe one deterministic function, which is what the
+central-difference estimate requires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .autodiff import GradCheckReport, Tensor, grad_check_params
+from .autodiff import GradCheckReport, Tensor, add, grad_check_params
 from .corpus import RelationVocab, Sentence, Vocabulary, normalize_dataset
-from .model import GpGnn, ModelDims, sentence_loss
+from .model import GpGnn, ModelDims, batch_losses
 from .synth import SynthSpec, synthesize_multihop_corpus
 from .training import named_rngs
 
@@ -29,23 +32,16 @@ class FullModelCheck:
         return all(r.passed for r in self.reports.values())
 
 
-def toy_setup(
-    seed: int = 7,
-    layers: int = 2,
-    n_sentences: int = 1,
-    chains: int = 1,
-    activation: str = "relu",
-    tied: bool = False,
-) -> tuple[GpGnn, list[Sentence], RelationVocab]:
-    """A deliberately tiny model plus normalized chain sentences (3 entities
-    per chain), small enough that per-coordinate finite differences finish in
-    seconds."""
+def toy_setup(seed: int = 7, layers: int = 2) -> tuple[GpGnn, list[Sentence], RelationVocab]:
+    """A deliberately tiny untied relu model plus one normalized chain
+    sentence (3 entities), small enough that per-coordinate finite
+    differences finish in seconds."""
     spec = SynthSpec(
         n_entities=6,
         n_relations=2,
-        n_sentences=n_sentences,
+        n_sentences=1,
         seed=seed,
-        chains_per_sentence=chains,
+        chains_per_sentence=1,
         splits=(1.0, 0.0, 0.0),
     )
     corpus = synthesize_multihop_corpus(spec)
@@ -56,9 +52,9 @@ def toy_setup(
         d_n=4,
         layers=layers,
         hidden_size=6,
-        activation=activation,
+        activation="relu",
         dropout=0.0,
-        tied=tied,
+        tied=False,
         word_dim=5,
         position_dim=2,
     )
@@ -71,21 +67,12 @@ def full_model_gradcheck(
     layers: int = 2,
     step: float = 1e-5,
     tol: float = 1e-4,
-    n_sentences: int = 1,
-    activation: str = "relu",
-    tied: bool = False,
 ) -> FullModelCheck:
     """Every parameter gradient of the toy model, against the oracle."""
-    model, sentences, _relations = toy_setup(
-        seed=seed, layers=layers, n_sentences=n_sentences, activation=activation, tied=tied
-    )
+    model, sentences, _relations = toy_setup(seed=seed, layers=layers)
 
     def loss_fn() -> Tensor:
-        total = None
-        for s in sentences:
-            part = sentence_loss(model, s, training=False)
-            total = part if total is None else total + part
-        return total
+        return reduce(add, batch_losses(model, sentences, training=False))
 
     params = dict(model.store.named())
     reports = grad_check_params(loss_fn, params, step=step, tol=tol)

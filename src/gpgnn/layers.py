@@ -1,6 +1,6 @@
 """Parameterized layers on top of the tensor core: embedding tables, LSTM
-cells, the bidirectional sequence encoder, multi-layer perceptrons, and a
-named parameter store with a binary checkpoint format.
+parameters, the batched bidirectional sequence encoder, multi-layer
+perceptrons, and a named parameter store with a binary checkpoint format.
 
 All weights initialize uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)], which
 keeps activations in a range where the finite-difference oracle is sharp.
@@ -26,11 +26,7 @@ from .autodiff import (
     gather_rows,
     lstm_cell,
     matmul,
-    mul,
-    reshape,
-    sigmoid,
     slice_cols,
-    tanh,
 )
 
 CHECKPOINT_VERSION = "gpgnn-ckpt-1"
@@ -148,43 +144,6 @@ class LstmParams:
             yield f"w_{gate}", getattr(self, f"w_{gate}")
             yield f"u_{gate}", getattr(self, f"u_{gate}")
             yield f"b_{gate}", getattr(self, f"b_{gate}")
-
-
-def _gate(x: Tensor, h: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
-    z = add(matmul(x, w), matmul(h, u))
-    if z.ndim == 1:
-        return add(z, b)
-    return add_bias(z, b)
-
-
-def lstm_step(p: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step with sigmoid gates and tanh candidate/output squashing.
-
-    Accepts a single input vector (d,) with states (H,), or a batch of rows
-    (B,d) with states (B,H); all rows step together.
-    """
-    if x.shape[-1] != p.input_size:
-        raise ShapeError(f"lstm_step input width {x.shape} does not match params ({p.input_size})")
-    if h.shape != c.shape or h.shape[-1] != p.hidden_size:
-        raise ShapeError(f"lstm_step state shapes {h.shape}/{c.shape} do not match H={p.hidden_size}")
-    i = sigmoid(_gate(x, h, p.w_i, p.u_i, p.b_i))
-    f = sigmoid(_gate(x, h, p.w_f, p.u_f, p.b_f))
-    o = sigmoid(_gate(x, h, p.w_o, p.u_o, p.b_o))
-    g = tanh(_gate(x, h, p.w_c, p.u_c, p.b_c))
-    c_next = add(mul(f, c), mul(i, g))
-    h_next = mul(o, tanh(c_next))
-    return h_next, c_next
-
-
-def bilstm_encode(fwd: LstmParams, bwd: LstmParams, seq: Tensor) -> Tensor:
-    """Encode an (l, d) sequence into a (2H,) vector: the forward pass's
-    final hidden state concatenated with the backward pass's state at
-    position 0.  Both passes start from zero states."""
-    if seq.ndim != 2 or seq.shape[0] < 1:
-        raise ShapeError(f"bilstm_encode needs a nonempty (l, d) sequence, got {seq.shape}")
-    length = seq.shape[0]
-    out = bilstm_encode_batch(fwd, bwd, seq, length=length, batch=1)
-    return reshape(out, (out.shape[1],))
 
 
 def bilstm_encode_batch(

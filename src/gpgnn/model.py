@@ -5,8 +5,12 @@ flag-initialized propagation stack, and a pairwise relation classifier.
 Per-pair semantics are the contract: transition matrices are computed once
 per sentence per layer and shared across target pairs, while propagation is
 re-run per target pair because the layer-0 flag states depend on which pair
-is queried.  Internally both the edge encoder and the propagation run as
-batched row operations; tests pin them against naive per-message loops.
+is queried.  This module is the one implementation that training,
+evaluation and the gradient oracle all run, and it is batched: the edge
+encoder takes every context of a batch's equal-length sentences at once,
+and propagation takes every target pair of a sentence at once.  The
+per-pair, per-message loops that define the semantics live in
+``tests/reference.py``, and the tests pin this module to them.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 from .autodiff import (
     ShapeError,
     Tensor,
+    _softmax_values,
     activation_fn,
     bmm,
     concat,
@@ -28,7 +33,6 @@ from .autodiff import (
     no_grad,
     reduce_sum,
     reshape,
-    softmax,
     softmax_cross_entropy_rows,
     tile_rows,
 )
@@ -70,10 +74,6 @@ class EntityGraph:
     m: int
     edges: list[tuple[int, int]]  # all ordered pairs (i, j), i != j, lexicographic
 
-    def edge_row(self, i: int, j: int) -> int:
-        # edges are grouped by target i, then source j ascending with i skipped
-        return i * (self.m - 1) + (j if j < i else j - 1)
-
 
 def build_entity_graph(sentence: Sentence) -> EntityGraph:
     """Enumerate all ordered non-self entity pairs in deterministic
@@ -99,23 +99,6 @@ def edge_markers(sentence: Sentence, edge: tuple[int, int]) -> np.ndarray:
             raise CorpusError(f"sentence {sentence.id}: entity spans overlap; normalize upstream")
         marks[t] = MARKER_SECOND
     return marks
-
-
-def encode_edge_context(
-    sentence: Sentence,
-    edge: tuple[int, int],
-    word_table: EmbeddingTable,
-    pos_table: EmbeddingTable,
-    vocab: Vocabulary,
-) -> Tensor:
-    """Per-token rows [word embedding ; marker embedding] for one edge."""
-    if pos_table.rows != 3:
-        raise ConfigError(f"marker table must have exactly 3 rows, got {pos_table.rows}")
-    ids = vocab.encode(sentence.tokens)
-    marks = edge_markers(sentence, edge)
-    word = embedding_lookup(word_table, ids)
-    pos = embedding_lookup(pos_table, marks)
-    return concat([word, pos], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -150,25 +133,12 @@ class EdgeEncoder:
             yield f"mlp.{name}", t
 
 
+@dataclass
 class TransitionMatrices:
-    """Per-layer, per-ordered-edge d_n x d_n matrices, stored stacked as one
-    (E, d_n, d_n) tensor per layer in edge order."""
+    """One sentence's generated matrices: per layer, an (E, d_n, d_n) stack
+    in edge order.  With tied adjacency every layer holds the same stack."""
 
-    def __init__(self, graph: EntityGraph, stacks: list[Tensor], d_n: int):
-        self.graph = graph
-        self.stacks = stacks
-        self.d_n = d_n
-
-    @property
-    def layers(self) -> int:
-        return len(self.stacks)
-
-    def layer(self, n: int) -> Tensor:
-        return self.stacks[n]
-
-    def matrix(self, n: int, i: int, j: int) -> Tensor:
-        row = self.graph.edge_row(i, j)
-        return reshape(gather_rows(self.stacks[n], [row]), (self.d_n, self.d_n))
+    stacks: list[Tensor]
 
 
 def sentence_statics(sentence: Sentence, graph: EntityGraph, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
@@ -178,37 +148,6 @@ def sentence_statics(sentence: Sentence, graph: EntityGraph, vocab: Vocabulary) 
     word_rows = np.tile(ids, (len(graph.edges), 1))
     marker_rows = np.stack([edge_markers(sentence, e) for e in graph.edges])
     return word_rows, marker_rows
-
-
-def generate_transition_matrices(
-    graph: EntityGraph,
-    encoders: Sequence[EdgeEncoder],
-    word_table: EmbeddingTable,
-    pos_table: EmbeddingTable,
-    vocab: Vocabulary,
-    d_n: int,
-    layers: int,
-    tied: bool = False,
-    drop_ratio: float = 0.0,
-    rng: np.random.Generator | None = None,
-    training: bool = False,
-) -> TransitionMatrices:
-    """Encode every edge context once per layer.  With tied adjacency the
-    single encoder runs once and every layer shares its matrices."""
-    word_rows, marker_rows = sentence_statics(graph.sentence, graph, vocab)
-    n_distinct = 1 if tied else layers
-    if len(encoders) != n_distinct:
-        raise ConfigError(f"expected {n_distinct} edge encoders, got {len(encoders)}")
-    stacks: list[Tensor] = []
-    for n in range(n_distinct):
-        flat = encode_edge_rows(
-            encoders[n], word_table, pos_table, word_rows, marker_rows, d_n,
-            drop_ratio=drop_ratio, rng=rng, training=training,
-        )
-        stacks.append(reshape(flat, (len(graph.edges), d_n, d_n)))
-    if tied:
-        stacks = stacks * layers
-    return TransitionMatrices(graph, stacks, d_n)
 
 
 def encode_edge_rows(
@@ -247,19 +186,6 @@ def encode_edge_rows(
 # propagation
 
 
-@dataclass
-class NodeStates:
-    """Per-target-pair node representations, one (m, d_n) tensor per layer
-    0..K.  Layer 0 carries the subject/object flag vectors."""
-
-    layers: list[Tensor]
-    target: tuple[int, int]
-
-    def vec(self, n: int, i: int) -> Tensor:
-        layer = self.layers[n]
-        return reshape(gather_rows(layer, [i]), (layer.shape[1],))
-
-
 def flag_vectors(d_n: int) -> tuple[np.ndarray, np.ndarray]:
     if d_n < 2 or d_n % 2 != 0:
         raise ConfigError(f"node-state width must be a positive even integer, got {d_n}")
@@ -267,94 +193,52 @@ def flag_vectors(d_n: int) -> tuple[np.ndarray, np.ndarray]:
     return subject, subject[::-1].copy()
 
 
-def initialize_node_states(graph: EntityGraph, target: tuple[int, int], d_n: int) -> NodeStates:
-    """Layer-0 states: ones-then-zeros for the subject, the mirror for the
-    object, all-zero for every other node."""
-    s, o = target
-    if s == o:
-        raise ConfigError(f"target pair must be two distinct entities, got {target}")
+def flag_states(
+    m: int, d_n: int, pairs: Sequence[tuple[int, int]]
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Layer-0 states for a batch of target pairs, stacked as (P*m, d_n).
+    Block p holds ones-then-zeros at its subject's row, the mirror at its
+    object's row, and zeros for every other node.  Also returns the subject
+    and object rows of every block."""
     subject, objekt = flag_vectors(d_n)
-    h0 = np.zeros((graph.m, d_n))
-    h0[s] = subject
-    h0[o] = objekt
-    return NodeStates(layers=[Tensor(h0)], target=target)
+    p = len(pairs)
+    s_arr = np.fromiter((s for s, _o in pairs), dtype=np.intp, count=p)
+    o_arr = np.fromiter((o for _s, o in pairs), dtype=np.intp, count=p)
+    if np.any(s_arr == o_arr):
+        raise ConfigError("target pair must be two distinct entities")
+    base = np.arange(p, dtype=np.intp) * m
+    subj_rows = base + s_arr
+    obj_rows = base + o_arr
+    h0 = np.zeros((p * m, d_n))
+    h0[subj_rows] = subject
+    h0[obj_rows] = objekt
+    return Tensor(h0), subj_rows, obj_rows
 
 
 def propagate_layer(
     states: Tensor, matrices: Tensor, edges: Sequence[tuple[int, int]], activation: str
 ) -> Tensor:
     """One message-passing step: h'_i = sum over j != i of act(A[i,j] @ h_j),
-    with the activation applied per message before summation."""
-    m = states.shape[0]
-    if matrices.ndim != 3 or matrices.shape[0] != len(edges):
-        raise ShapeError(f"expected ({len(edges)}, d, d) matrices, got {matrices.shape}")
-    return _propagate_grouped(states, matrices, edges, m=m, groups=1, activation=activation)
-
-
-def _edge_sources(edges: Sequence[tuple[int, int]]) -> np.ndarray:
-    return np.fromiter((j for _i, j in edges), dtype=np.intp, count=len(edges))
-
-
-def _propagate_grouped(
-    states: Tensor,
-    matrices: Tensor,
-    edges: Sequence[tuple[int, int]],
-    m: int,
-    groups: int,
-    activation: str,
-    src_base: np.ndarray | None = None,
-) -> Tensor:
-    """Propagate ``groups`` independent state blocks of m nodes each, stored
-    stacked as (groups*m, d_n), against one shared (E, d_n, d_n) stack."""
-    act = activation_fn(activation)
-    d = states.shape[1]
+    with the activation applied per message before summation.  ``states``
+    stacks independent blocks of m nodes, (blocks*m, d_n), and every block
+    propagates against the one (E, d_n, d_n) stack of the m-entity graph."""
     e = len(edges)
-    if src_base is None:
-        src_base = _edge_sources(edges)
+    if matrices.ndim != 3 or matrices.shape[0] != e:
+        raise ShapeError(f"expected ({e}, d, d) matrices, got {matrices.shape}")
+    # edges are grouped by target node, m-1 consecutive rows per target
+    m = edges[-1][0] + 1
+    rows, d = states.shape
+    if rows % m != 0:
+        raise ShapeError(f"{rows} state rows do not split into blocks of {m} nodes")
+    groups = rows // m
+    act = activation_fn(activation)
+    src_base = np.fromiter((j for _i, j in edges), dtype=np.intp, count=e)
     src = (np.arange(groups, dtype=np.intp)[:, None] * m + src_base[None, :]).reshape(-1)
     gathered = reshape(gather_rows(states, src), (groups * e, d, 1))
     stack = tile_rows(matrices, groups) if groups > 1 else matrices
     messages = act(bmm(stack, gathered))
-    # edges are grouped by target node, m-1 consecutive rows per target
     grouped = reshape(messages, (groups * m, m - 1, d))
     return reduce_sum(grouped, axis=1)
-
-
-def run_propagation(
-    graph: EntityGraph,
-    matrices: TransitionMatrices,
-    target: tuple[int, int],
-    d_n: int,
-    layers: int,
-    activation: str,
-) -> NodeStates:
-    states = initialize_node_states(graph, target, d_n)
-    for n in range(layers):
-        states.layers.append(
-            propagate_layer(states.layers[n], matrices.layer(n), graph.edges, activation)
-        )
-    return states
-
-
-# ---------------------------------------------------------------------------
-# classification
-
-
-def pair_representation(states: NodeStates, target: tuple[int, int], layers: int) -> Tensor:
-    """Concatenation over layers 1..K of the subject/object elementwise
-    product; the layer-0 flags never enter the representation."""
-    if len(states.layers) < layers + 1:
-        raise ShapeError(f"need states for layers 0..{layers}, have {len(states.layers)}")
-    s, o = target
-    blocks = [mul(states.vec(k, s), states.vec(k, o)) for k in range(1, layers + 1)]
-    return concat(blocks, axis=0)
-
-
-def classify_pair(rep: Tensor, head: MlpParams, relations: RelationVocab) -> Tensor:
-    """Probability distribution over all relations (NA included)."""
-    if head.output_size != len(relations):
-        raise ShapeError(f"classifier emits {head.output_size} logits for {len(relations)} relations")
-    return softmax(mlp_forward(head, rep))
 
 
 # ---------------------------------------------------------------------------
@@ -422,25 +306,6 @@ class GpGnn:
             self.store.register_all(prefix, enc.named())
         self.store.register_all("head", self.head.named())
 
-    # -- forward paths ------------------------------------------------------
-
-    def transition_matrices(
-        self, graph: EntityGraph, training: bool = False, rng: np.random.Generator | None = None
-    ) -> TransitionMatrices:
-        return generate_transition_matrices(
-            graph,
-            self.encoders,
-            self.word_table,
-            self.pos_table,
-            self.vocab,
-            self.dims.d_n,
-            self.dims.layers,
-            tied=self.dims.tied,
-            drop_ratio=self.dims.dropout,
-            rng=rng,
-            training=training,
-        )
-
     def pair_logits(
         self,
         graph: EntityGraph,
@@ -450,48 +315,20 @@ class GpGnn:
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """Logits for a batch of target pairs of one sentence, sharing the
-        sentence's transition matrices.  Row p corresponds to pairs[p]."""
-        m, d, k_layers = graph.m, self.dims.d_n, self.dims.layers
-        p = len(pairs)
-        subject, objekt = flag_vectors(d)
-        s_arr = np.fromiter((s for s, _o in pairs), dtype=np.intp, count=p)
-        o_arr = np.fromiter((o for _s, o in pairs), dtype=np.intp, count=p)
-        if np.any(s_arr == o_arr):
-            raise ConfigError("target pair must be two distinct entities")
-        base = np.arange(p, dtype=np.intp) * m
-        subj_rows = base + s_arr
-        obj_rows = base + o_arr
-        h0 = np.zeros((p * m, d))
-        h0[subj_rows] = subject
-        h0[obj_rows] = objekt
-        states = Tensor(h0)
-        src_base = _edge_sources(graph.edges)
+        sentence's transition matrices.  Row p corresponds to pairs[p].  The
+        representation concatenates, over layers 1..K, the elementwise
+        product of the subject's and the object's states; the layer-0 flags
+        never enter it."""
+        states, subj_rows, obj_rows = flag_states(graph.m, self.dims.d_n, pairs)
         per_layer: list[Tensor] = []
-        for n in range(k_layers):
-            states = _propagate_grouped(
-                states, matrices.layer(n), graph.edges, m=m, groups=p,
-                activation=self.dims.activation, src_base=src_base,
-            )
+        for n in range(self.dims.layers):
+            states = propagate_layer(states, matrices.stacks[n], graph.edges, self.dims.activation)
             per_layer.append(states)
         blocks = [
             mul(gather_rows(layer, subj_rows), gather_rows(layer, obj_rows)) for layer in per_layer
         ]
         rep = concat(blocks, axis=1)
         return mlp_forward(self.head, rep, drop_ratio=self.dims.dropout, rng=rng, training=training)
-
-
-def sentence_loss(
-    model: GpGnn,
-    sentence: Sentence,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-    na_weight: float = 1.0,
-) -> Tensor:
-    """Sum of the per-pair cross entropies over all ordered entity pairs of
-    one sentence.  Every pair needs a gold label (NA counts)."""
-    graph = build_entity_graph(sentence)
-    matrices = model.transition_matrices(graph, training=training, rng=rng)
-    return _loss_from_matrices(model, graph, matrices, training=training, rng=rng, na_weight=na_weight)
 
 
 def _loss_from_matrices(
@@ -501,12 +338,11 @@ def _loss_from_matrices(
     training: bool,
     rng: np.random.Generator | None,
     na_weight: float,
-    cache: SentenceCache | None = None,
+    cache: SentenceCache,
 ) -> Tensor:
-    if cache is not None:
-        targets = cache.targets(model.relations, graph)
-    else:
-        targets = _gold_indices(model.relations, graph)
+    """Sum of the per-pair cross entropies over all ordered entity pairs of
+    one sentence.  Every pair needs a gold label (NA counts)."""
+    targets = cache.targets(model.relations, graph)
     logits = model.pair_logits(graph, matrices, graph.edges, training=training, rng=rng)
     losses = softmax_cross_entropy_rows(logits, targets)
     if na_weight != 1.0:
@@ -561,22 +397,23 @@ class SentenceCache:
         return got
 
 
-def _grouped_matrices(
+def transition_matrices(
     model: GpGnn,
     sentences: Sequence[Sentence],
-    graphs: Sequence[EntityGraph],
-    training: bool,
-    rng: np.random.Generator | None,
-    cache: SentenceCache,
-) -> dict[int, TransitionMatrices]:
-    """Transition matrices per sentence, with equal-token-length sentences
-    sharing one encoder run per layer (an internal batching; the values match
-    the per-sentence path)."""
+    training: bool = False,
+    rng: np.random.Generator | None = None,
+    cache: SentenceCache | None = None,
+) -> list[TransitionMatrices]:
+    """Every sentence's transition matrices, in sentence order.  Sentences of
+    equal token length share one encoder run per layer; with tied adjacency
+    the single encoder runs once and every layer shares its matrices."""
+    cache = cache if cache is not None else SentenceCache()
+    graphs = [cache.graph(s) for s in sentences]
     by_length: dict[int, list[int]] = {}
     for idx, s in enumerate(sentences):
         by_length.setdefault(len(s.tokens), []).append(idx)
 
-    matrices: dict[int, TransitionMatrices] = {}
+    matrices: list[TransitionMatrices | None] = [None] * len(sentences)
     d = model.dims.d_n
     for length in sorted(by_length):
         group = by_length[length]
@@ -590,13 +427,12 @@ def _grouped_matrices(
             total += w.shape[0]
         word_rows = np.concatenate(words, axis=0)
         marker_rows = np.concatenate(marks, axis=0)
-        n_distinct = 1 if model.dims.tied else model.dims.layers
         flat_layers = [
             encode_edge_rows(
-                model.encoders[n], model.word_table, model.pos_table, word_rows, marker_rows, d,
+                enc, model.word_table, model.pos_table, word_rows, marker_rows, d,
                 drop_ratio=model.dims.dropout, rng=rng, training=training,
             )
-            for n in range(n_distinct)
+            for enc in model.encoders
         ]
         for idx, off in zip(group, offsets):
             n_edges = len(graphs[idx].edges)
@@ -606,7 +442,7 @@ def _grouped_matrices(
             ]
             if model.dims.tied:
                 stacks = stacks * model.dims.layers
-            matrices[idx] = TransitionMatrices(graphs[idx], stacks, d)
+            matrices[idx] = TransitionMatrices(stacks)
     return matrices
 
 
@@ -620,14 +456,13 @@ def batch_losses(
 ) -> list[Tensor]:
     """Per-sentence loss scalars over a batch of sentences."""
     cache = cache if cache is not None else SentenceCache()
-    graphs = [cache.graph(s) for s in sentences]
-    matrices = _grouped_matrices(model, sentences, graphs, training, rng, cache)
+    matrices = transition_matrices(model, sentences, training, rng, cache)
     return [
         _loss_from_matrices(
-            model, graphs[idx], matrices[idx], training=training, rng=rng,
+            model, cache.graph(s), mats, training=training, rng=rng,
             na_weight=na_weight, cache=cache,
         )
-        for idx in range(len(sentences))
+        for s, mats in zip(sentences, matrices)
     ]
 
 
@@ -640,15 +475,10 @@ def predict_pairs(
     results: list[dict] = []
     cache = cache if cache is not None else SentenceCache()
     with no_grad():
-        graphs = [cache.graph(s) for s in sentences]
-        matrices = _grouped_matrices(model, sentences, graphs, training=False, rng=None, cache=cache)
-        for idx, sentence in enumerate(sentences):
-            graph = graphs[idx]
-            logits = model.pair_logits(graph, matrices[idx], graph.edges)
-            z = logits.data
-            shifted = z - z.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            probs = e / e.sum(axis=1, keepdims=True)
+        matrices = transition_matrices(model, sentences, cache=cache)
+        for sentence, mats in zip(sentences, matrices):
+            graph = cache.graph(sentence)
+            probs = _softmax_values(model.pair_logits(graph, mats, graph.edges).data, axis=1)
             labels = sentence.label_map()
             for k, (s, o) in enumerate(graph.edges):
                 results.append(

@@ -53,7 +53,6 @@ class TrainConfig:
     position_dim: int = 5
     na_weight: float = 1.0
     clip_norm: float = 5.0
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.layers < 1:
@@ -64,8 +63,6 @@ class TrainConfig:
             raise ConfigError(f"d_n must be a positive even integer, got {self.d_n}")
         if not 0.0 < self.na_weight <= 1.0:
             raise ConfigError(f"na_weight must be in (0, 1], got {self.na_weight}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.batch_size < 1 or self.epochs < 0 or self.patience < 0:
             raise ConfigError("batch_size must be >= 1 and epochs/patience >= 0")
 
@@ -91,6 +88,14 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
+        # configs written before the serial-only ``workers`` knob was removed
+        # hold "workers": 1; that value meant what every run now does
+        if "workers" in obj:
+            if obj["workers"] != 1:
+                raise ConfigError(
+                    f"workers is no longer a setting; only the legacy value 1 loads, got {obj['workers']!r}"
+                )
+            obj = {k: v for k, v in obj.items() if k != "workers"}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(obj) - known)
         if unknown:

@@ -1,0 +1,260 @@
+"""Reference implementations of the GP-GNN forward pass, one edge, one
+target pair and one message at a time.
+
+``gpgnn.model`` runs the model batched: every context of a batch's
+equal-length sentences goes through the encoder together, and every target
+pair of a sentence propagates together.  The loops here spell out the same
+semantics directly: the marked context of one ordered pair, an LSTM stepped
+token by token, one message act(A[i,j] @ h_j) at a time in scalar Python,
+one target pair's flag states, representation and classifier.  The tests pin the batched path
+to these oracles.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from gpgnn.autodiff import (
+    ShapeError,
+    Tensor,
+    add,
+    add_bias,
+    concat,
+    gather_rows,
+    matmul,
+    mul,
+    no_grad,
+    reshape,
+    sigmoid,
+    softmax,
+    tanh,
+)
+from gpgnn.corpus import RelationVocab, Sentence, Vocabulary
+from gpgnn.layers import EmbeddingTable, LstmParams, MlpParams, embedding_lookup, mlp_forward
+from gpgnn.model import (
+    ConfigError,
+    EntityGraph,
+    GpGnn,
+    TransitionMatrices,
+    build_entity_graph,
+    edge_markers,
+)
+
+
+# ---------------------------------------------------------------------------
+# edges and their contexts
+
+
+def edge_row(graph: EntityGraph, i: int, j: int) -> int:
+    """Row of the ordered pair (i, j) in the graph's edge order."""
+    # edges are grouped by target i, then source j ascending with i skipped
+    return i * (graph.m - 1) + (j if j < i else j - 1)
+
+
+def transition_matrix(matrices: TransitionMatrices, graph: EntityGraph, n: int, i: int, j: int) -> Tensor:
+    """Layer n's (d_n, d_n) matrix for the ordered pair (i, j)."""
+    stack = matrices.stacks[n]
+    d = stack.shape[1]
+    return reshape(gather_rows(stack, [edge_row(graph, i, j)]), (d, d))
+
+
+def encode_edge_context(
+    sentence: Sentence,
+    edge: tuple[int, int],
+    word_table: EmbeddingTable,
+    pos_table: EmbeddingTable,
+    vocab: Vocabulary,
+) -> Tensor:
+    """Per-token rows [word embedding ; marker embedding] for one edge."""
+    if pos_table.rows != 3:
+        raise ConfigError(f"marker table must have exactly 3 rows, got {pos_table.rows}")
+    ids = vocab.encode(sentence.tokens)
+    marks = edge_markers(sentence, edge)
+    word = embedding_lookup(word_table, ids)
+    pos = embedding_lookup(pos_table, marks)
+    return concat([word, pos], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# LSTM
+
+
+def _gate(x: Tensor, h: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
+    z = add(matmul(x, w), matmul(h, u))
+    if z.ndim == 1:
+        return add(z, b)
+    return add_bias(z, b)
+
+
+def lstm_step(p: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+    """One LSTM step with sigmoid gates and tanh candidate/output squashing,
+    each gate from its own parameter blocks.
+
+    Accepts a single input vector (d,) with states (H,), or a batch of rows
+    (B,d) with states (B,H); all rows step together.
+    """
+    if x.shape[-1] != p.input_size:
+        raise ShapeError(f"lstm_step input width {x.shape} does not match params ({p.input_size})")
+    if h.shape != c.shape or h.shape[-1] != p.hidden_size:
+        raise ShapeError(f"lstm_step state shapes {h.shape}/{c.shape} do not match H={p.hidden_size}")
+    i = sigmoid(_gate(x, h, p.w_i, p.u_i, p.b_i))
+    f = sigmoid(_gate(x, h, p.w_f, p.u_f, p.b_f))
+    o = sigmoid(_gate(x, h, p.w_o, p.u_o, p.b_o))
+    g = tanh(_gate(x, h, p.w_c, p.u_c, p.b_c))
+    c_next = add(mul(f, c), mul(i, g))
+    h_next = mul(o, tanh(c_next))
+    return h_next, c_next
+
+
+def bilstm_encode(fwd: LstmParams, bwd: LstmParams, seq: Tensor) -> Tensor:
+    """Encode an (l, d) sequence into a (2H,) vector: the forward pass's
+    final hidden state concatenated with the backward pass's state at
+    position 0.  Both passes start from zero states and take one
+    ``lstm_step`` per token."""
+    if seq.ndim != 2 or seq.shape[0] < 1:
+        raise ShapeError(f"bilstm_encode needs a nonempty (l, d) sequence, got {seq.shape}")
+    length, width = seq.shape
+
+    def run(p: LstmParams, order) -> Tensor:
+        h = Tensor(np.zeros(p.hidden_size))
+        c = Tensor(np.zeros(p.hidden_size))
+        for t in order:
+            h, c = lstm_step(p, reshape(gather_rows(seq, [t]), (width,)), h, c)
+        return h
+
+    return concat([run(fwd, range(length)), run(bwd, range(length - 1, -1, -1))], axis=0)
+
+
+# ---------------------------------------------------------------------------
+# propagation for one target pair
+
+
+@dataclass
+class NodeStates:
+    """Per-target-pair node representations, one (m, d_n) tensor per layer
+    0..K.  Layer 0 carries the subject/object flag vectors."""
+
+    layers: list[Tensor]
+    target: tuple[int, int]
+
+    def vec(self, n: int, i: int) -> Tensor:
+        layer = self.layers[n]
+        return reshape(gather_rows(layer, [i]), (layer.shape[1],))
+
+
+def initialize_node_states(graph: EntityGraph, target: tuple[int, int], d_n: int) -> NodeStates:
+    """Layer-0 states: ones-then-zeros for the subject, the mirror for the
+    object, all-zero for every other node."""
+    s, o = target
+    half = d_n // 2
+    h0 = np.zeros((graph.m, d_n))
+    h0[s, :half] = 1.0
+    h0[o, half:] = 1.0
+    return NodeStates(layers=[Tensor(h0)], target=target)
+
+
+def naive_propagate(states, mats_by_edge, edges, activation):
+    """One layer in scalar Python loops, message by message: h'_i = sum
+    over j != i of act(A[i,j] @ h_j), for nested-list states (m, d) and
+    per-edge matrices (E, d, d) in edge order."""
+    m = len(states)
+    d = len(states[0])
+    out = [[0.0] * d for _ in range(m)]
+    for k, (i, j) in enumerate(edges):
+        a = mats_by_edge[k]
+        for r in range(d):
+            msg = 0.0
+            for c in range(d):
+                msg += a[r][c] * states[j][c]
+            if activation == "relu":
+                msg = msg if msg > 0.0 else 0.0
+            elif activation == "tanh":
+                msg = math.tanh(msg)
+            else:
+                raise ValueError(f"naive_propagate has no {activation!r} activation")
+            out[i][r] += msg
+    return out
+
+
+def run_propagation(
+    graph: EntityGraph, mats_by_layer, target: tuple[int, int], d_n: int, layers: int, activation: str
+) -> NodeStates:
+    """K layers for one target pair; ``mats_by_layer[n]`` holds layer n's
+    per-edge matrices in edge order."""
+    states = initialize_node_states(graph, target, d_n)
+    for n in range(layers):
+        nxt = naive_propagate(states.layers[n].data.tolist(), mats_by_layer[n], graph.edges, activation)
+        states.layers.append(Tensor(np.array(nxt)))
+    return states
+
+
+# ---------------------------------------------------------------------------
+# classification
+
+
+def pair_representation(states: NodeStates, target: tuple[int, int], layers: int) -> Tensor:
+    """Concatenation over layers 1..K of the subject/object elementwise
+    product; the layer-0 flags never enter the representation."""
+    if len(states.layers) < layers + 1:
+        raise ShapeError(f"need states for layers 0..{layers}, have {len(states.layers)}")
+    s, o = target
+    blocks = [mul(states.vec(k, s), states.vec(k, o)) for k in range(1, layers + 1)]
+    return concat(blocks, axis=0)
+
+
+def classify_pair(rep: Tensor, head: MlpParams, relations: RelationVocab) -> Tensor:
+    """Probability distribution over all relations (NA included)."""
+    if head.output_size != len(relations):
+        raise ShapeError(f"classifier emits {head.output_size} logits for {len(relations)} relations")
+    return softmax(mlp_forward(head, rep))
+
+
+def neg_log_softmax(logits: np.ndarray, target: int) -> float:
+    """-log softmax(logits)[target] for one logit vector, in plain numpy."""
+    z = np.asarray(logits, dtype=np.float64)
+    top = z.max()
+    return float(top + np.log(np.exp(z - top).sum()) - z[target])
+
+
+# ---------------------------------------------------------------------------
+# the whole model, one pair at a time
+
+
+def edge_matrices(model: GpGnn, graph: EntityGraph) -> list[list]:
+    """Per layer, per edge in edge order: the edge's marked context through
+    the layer's BiLSTM and MLP, as a nested-list (d_n, d_n) matrix.  Tied
+    adjacency runs the one shared encoder for every layer."""
+    d = model.dims.d_n
+    layers = []
+    for n in range(model.dims.layers):
+        enc = model.encoders[0 if model.dims.tied else n]
+        stack = []
+        for edge in graph.edges:
+            ctx = encode_edge_context(graph.sentence, edge, model.word_table, model.pos_table, model.vocab)
+            vec = mlp_forward(enc.mlp, bilstm_encode(enc.lstm_fwd, enc.lstm_bwd, ctx))
+            stack.append(vec.data.reshape(d, d).tolist())
+        layers.append(stack)
+    return layers
+
+
+def pair_outputs(model: GpGnn, sentence: Sentence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every ordered pair in edge order, in evaluation mode: the class
+    probabilities (E, R), the cross entropy against the gold label (E,), and
+    the gold class index (E,)."""
+    graph = build_entity_graph(sentence)
+    labels = sentence.label_map()
+    dims = model.dims
+    probs, losses, targets = [], [], []
+    with no_grad():
+        mats = edge_matrices(model, graph)
+        for pair in graph.edges:
+            states = run_propagation(graph, mats, pair, dims.d_n, dims.layers, dims.activation)
+            rep = pair_representation(states, pair, dims.layers)
+            target = model.relations.index(labels[pair])
+            probs.append(classify_pair(rep, model.head, model.relations).data)
+            losses.append(neg_log_softmax(mlp_forward(model.head, rep).data, target))
+            targets.append(target)
+    return np.array(probs), np.array(losses), np.array(targets)

@@ -152,3 +152,31 @@ def test_numeric_failure_exit_code_from_training(tmp_path, synth_dir):
                      "--relations", str(synth_dir / "relations.json"),
                      "--config", str(cfg), "--out", str(run)])
     assert code == EXIT_NUMERIC
+
+
+def test_model_json_from_before_workers_removal_loads(tmp_path, synth_dir, capsys):
+    """model.json and --config files written while ``workers`` was a setting
+    hold "workers": 1.  That entry still loads; any other value is a data
+    error, and the flag itself is gone."""
+    run = tmp_path / "run"
+    train_args = ["train", "--train", str(synth_dir / "train.jsonl"),
+                  "--valid", str(synth_dir / "valid.jsonl"),
+                  "--relations", str(synth_dir / "relations.json")]
+    legacy_cfg = write_config(tmp_path, workers=1)
+    assert main(train_args + ["--config", str(legacy_cfg), "--out", str(run)]) == EXIT_OK
+    model_json = run / "model.json"
+    obj = json.loads(model_json.read_text())
+    assert "workers" not in obj["config"]
+
+    eval_args = ["eval", "--model-dir", str(run), "--data", str(synth_dir / "test.jsonl")]
+    obj["config"]["workers"] = 1
+    model_json.write_text(json.dumps(obj))
+    assert main(eval_args + ["--out", str(tmp_path / "eval1")]) == EXIT_OK
+
+    obj["config"]["workers"] = 2
+    model_json.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(eval_args + ["--out", str(tmp_path / "eval2")]) == EXIT_DATA
+    assert "workers" in capsys.readouterr().err
+
+    assert main(train_args + ["--out", str(tmp_path / "run2"), "--workers", "1"]) == EXIT_USAGE

@@ -248,12 +248,13 @@ def test_pr_csv_layout(tmp_path):
 
 def test_metrics_report_shape_and_decisions():
     records = ladder(20, 5) + [rec("A", "A", skb=None, okb=None)]
-    report = metrics_report(records, AB)
+    report, ranked = metrics_report(records, AB)
+    assert report["counts"]["candidates"] == len(ranked)
     assert set(report["p_at"]) == {"5", "10", "15", "20"}
     assert report["counts"]["excluded_no_kb"] == 1
     assert report["decisions"]["macro_f1_excludes_na"] is True
     assert report["decisions"]["p_at_population"] == "predictions"
-    gold_size = metrics_report(records, AB, population="gold-size")
+    gold_size, _ranked = metrics_report(records, AB, population="gold-size")
     assert gold_size["decisions"]["p_at_population"] == "gold-size"
 
 

@@ -13,14 +13,14 @@ from gpgnn.layers import (
     LstmParams,
     MlpParams,
     ParameterStore,
-    bilstm_encode,
     bilstm_encode_batch,
     embedding_lookup,
     load_checkpoint,
-    lstm_step,
     mlp_forward,
     save_checkpoint,
 )
+
+from reference import bilstm_encode, lstm_step
 
 
 def zero_lstm(d, h):

@@ -11,18 +11,16 @@ from gpgnn.corpus import CorpusError, SkipSentence
 from gpgnn.layers import MlpParams
 from gpgnn.model import (
     ConfigError,
-    build_entity_graph,
-    classify_pair,
-    edge_markers,
-    encode_edge_context,
-    flag_vectors,
-    initialize_node_states,
-    pair_representation,
-    propagate_layer,
-    run_propagation,
-    sentence_loss,
     batch_losses,
-    generate_transition_matrices,
+    build_entity_graph,
+    edge_markers,
+    encode_edge_rows,
+    flag_states,
+    flag_vectors,
+    predict_pairs,
+    propagate_layer,
+    sentence_statics,
+    transition_matrices,
 )
 from gpgnn.corpus import RelationTriple, RelationVocab, Sentence, normalize_sentence
 
@@ -33,7 +31,19 @@ from conftest import (
     tiny_model,
     two_entity_sentence,
 )
-
+from reference import (
+    bilstm_encode,
+    classify_pair,
+    edge_row,
+    encode_edge_context,
+    initialize_node_states,
+    naive_propagate,
+    neg_log_softmax,
+    pair_outputs,
+    pair_representation,
+    run_propagation,
+    transition_matrix,
+)
 
 # ---------------------------------------------------------------------------
 # graph construction
@@ -100,8 +110,9 @@ def test_edge_context_requires_three_marker_rows(rng):
     s = two_entity_sentence()
     model = tiny_model([s])
     bad = EmbeddingTable.create(4, 2, rng, reserved=False)
+    words, marks = sentence_statics(s, build_entity_graph(s), model.vocab)
     with pytest.raises(ConfigError, match="3 rows"):
-        encode_edge_context(s, (0, 1), model.word_table, bad, model.vocab)
+        encode_edge_rows(model.encoders[0], model.word_table, bad, words, marks, model.dims.d_n)
 
 
 def test_multi_token_mention_marks_whole_span():
@@ -120,14 +131,15 @@ def test_matrices_have_d_n_shape_per_edge():
     s = three_entity_sentence()
     model = tiny_model([s])
     graph = build_entity_graph(s)
-    mats = model.transition_matrices(graph)
-    assert mats.layers == 2
+    (mats,) = transition_matrices(model, [s])
+    assert len(mats.stacks) == 2
     for n in range(2):
-        assert mats.layer(n).shape == (6, 4, 4)
-        assert mats.matrix(n, 2, 1).shape == (4, 4)
+        assert mats.stacks[n].shape == (6, 4, 4)
+        assert transition_matrix(mats, graph, n, 2, 1).shape == (4, 4)
     # per-edge accessor rows match the stacked layout
-    row = graph.edge_row(2, 1)
-    np.testing.assert_array_equal(mats.matrix(0, 2, 1).data, mats.layer(0).data[row])
+    row = edge_row(graph, 2, 1)
+    assert graph.edges[row] == (2, 1)
+    np.testing.assert_array_equal(transition_matrix(mats, graph, 0, 2, 1).data, mats.stacks[0].data[row])
 
 
 def test_zero_final_mlp_layer_gives_zero_matrices():
@@ -136,48 +148,45 @@ def test_zero_final_mlp_layer_gives_zero_matrices():
     for enc in model.encoders:
         enc.mlp.weights[-1].data[:] = 0.0
         enc.mlp.biases[-1].data[:] = 0.0
-    mats = model.transition_matrices(build_entity_graph(s))
-    for n in range(mats.layers):
-        np.testing.assert_array_equal(mats.layer(n).data, 0.0)
+    (mats,) = transition_matrices(model, [s])
+    for stack in mats.stacks:
+        np.testing.assert_array_equal(stack.data, 0.0)
 
 
 def test_untied_layers_differ_tied_layers_match():
     s = three_entity_sentence()
     untied = tiny_model([s], seed=9)
-    mats = untied.transition_matrices(build_entity_graph(s))
-    assert np.abs(mats.layer(0).data - mats.layer(1).data).max() > 1e-6
+    (mats,) = transition_matrices(untied, [s])
+    assert np.abs(mats.stacks[0].data - mats.stacks[1].data).max() > 1e-6
 
     tied = tiny_model([s], seed=9, tied=True)
-    mats = tied.transition_matrices(build_entity_graph(s))
-    np.testing.assert_array_equal(mats.layer(0).data, mats.layer(1).data)
+    (mats,) = transition_matrices(tied, [s])
+    np.testing.assert_array_equal(mats.stacks[0].data, mats.stacks[1].data)
 
 
 def test_generate_matches_contract_composition():
     """The batched generator equals encode -> bilstm -> mlp -> reshape per edge."""
-    from gpgnn.layers import bilstm_encode, mlp_forward
+    from gpgnn.layers import mlp_forward
 
     s = three_entity_sentence()
     model = tiny_model([s])
     graph = build_entity_graph(s)
-    mats = model.transition_matrices(graph)
+    (mats,) = transition_matrices(model, [s])
     for k, edge in enumerate(graph.edges):
         ctx = encode_edge_context(s, edge, model.word_table, model.pos_table, model.vocab)
         enc = model.encoders[1]
         vec = mlp_forward(enc.mlp, bilstm_encode(enc.lstm_fwd, enc.lstm_bwd, ctx))
         np.testing.assert_allclose(
-            mats.layer(1).data[k], vec.data.reshape(4, 4), atol=1e-12
+            mats.stacks[1].data[k], vec.data.reshape(4, 4), atol=1e-12
         )
 
 
 def test_encoder_output_width_must_be_d_n_squared():
     s = two_entity_sentence()
     model = tiny_model([s])
-    graph = build_entity_graph(s)
+    words, marks = sentence_statics(s, build_entity_graph(s), model.vocab)
     with pytest.raises(ConfigError, match="d_n"):
-        generate_transition_matrices(
-            graph, model.encoders, model.word_table, model.pos_table, model.vocab,
-            d_n=6, layers=2,
-        )
+        encode_edge_rows(model.encoders[0], model.word_table, model.pos_table, words, marks, d_n=6)
 
 
 # ---------------------------------------------------------------------------
@@ -185,27 +194,26 @@ def test_encoder_output_width_must_be_d_n_squared():
 
 
 def test_flag_initialization_d4():
-    graph = build_entity_graph(three_entity_sentence())
-    states = initialize_node_states(graph, (0, 2), 4)
-    layer0 = states.layers[0].data
+    states, subj_rows, obj_rows = flag_states(3, 4, [(0, 2)])
+    assert subj_rows.tolist() == [0] and obj_rows.tolist() == [2]
+    layer0 = states.data
     np.testing.assert_array_equal(layer0[0], [1, 1, 0, 0])
     np.testing.assert_array_equal(layer0[2], [0, 0, 1, 1])
     np.testing.assert_array_equal(layer0[1], [0, 0, 0, 0])
 
 
 def test_odd_d_n_rejected():
-    graph = build_entity_graph(two_entity_sentence())
     with pytest.raises(ConfigError, match="even"):
-        initialize_node_states(graph, (0, 1), 3)
+        flag_states(2, 3, [(0, 1)])
     with pytest.raises(ConfigError):
         flag_vectors(0)
 
 
 def test_identity_matrices_swap_flags():
     graph = build_entity_graph(two_entity_sentence())
-    states = initialize_node_states(graph, (0, 1), 2)
+    states, _subj, _obj = flag_states(graph.m, 2, [(0, 1)])
     eye = Tensor(np.stack([np.eye(2), np.eye(2)]))
-    nxt = propagate_layer(states.layers[0], eye, graph.edges, "relu")
+    nxt = propagate_layer(states, eye, graph.edges, "relu")
     np.testing.assert_array_equal(nxt.data[0], [0, 1])
     np.testing.assert_array_equal(nxt.data[1], [1, 0])
 
@@ -217,36 +225,20 @@ def test_zero_states_stay_zero_under_relu(rng):
     np.testing.assert_array_equal(nxt.data, np.zeros((3, 4)))
 
 
-def naive_propagate(states, mats_by_edge, edges, activation):
-    """Pure-Python per-message oracle: scalar loops only."""
-    m = len(states)
-    d = len(states[0])
-    out = [[0.0] * d for _ in range(m)]
-    for k, (i, j) in enumerate(edges):
-        a = mats_by_edge[k]
-        for r in range(d):
-            msg = 0.0
-            for c in range(d):
-                msg += a[r][c] * states[j][c]
-            if activation == "relu":
-                msg = msg if msg > 0.0 else 0.0
-            else:
-                msg = math.tanh(msg)
-            out[i][r] += msg
-    return out
-
-
 @given(st.integers(2, 5), st.sampled_from([2, 4, 8]), st.sampled_from(["relu", "tanh"]),
-       st.integers(0, 2**32 - 1))
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_propagation_matches_naive_loop(m, d_n, activation, seed):
+def test_propagation_matches_naive_loop(m, d_n, activation, blocks, seed):
+    """Every block of m nodes (one per target pair) propagates on its own."""
     r = np.random.default_rng(seed)
     edges = [(i, j) for i in range(m) for j in range(m) if j != i]
     mats = r.uniform(-1, 1, (len(edges), d_n, d_n))
-    states = r.uniform(-1, 1, (m, d_n))
+    states = r.uniform(-1, 1, (blocks * m, d_n))
     fast = propagate_layer(Tensor(states), Tensor(mats), edges, activation).data
-    slow = naive_propagate(states.tolist(), mats.tolist(), edges, activation)
-    np.testing.assert_allclose(fast, np.array(slow), atol=1e-12)
+    for b in range(blocks):
+        rows = slice(b * m, (b + 1) * m)
+        slow = naive_propagate(states[rows].tolist(), mats.tolist(), edges, activation)
+        np.testing.assert_allclose(fast[rows], np.array(slow), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +310,7 @@ def test_sentence_loss_uniform_head_is_2_ln_R():
         w.data[:] = 0.0
     for b in model.head.biases:
         b.data[:] = 0.0
-    loss = sentence_loss(model, s)
+    loss = batch_losses(model, [s])[0]
     assert loss.item() == pytest.approx(2.0 * math.log(5.0), abs=1e-12)
 
 
@@ -335,26 +327,27 @@ def test_sentence_loss_saturated_predictions_vanish():
     for b in model.head.biases:
         b.data[:] = 0.0
     model.head.biases[-1].data[:] = np.array([-20.0, 20.0])
-    loss = sentence_loss(model, s)
+    loss = batch_losses(model, [s])[0]
     assert loss.item() < 1e-6
 
 
 def test_sentence_loss_decomposes_into_pair_losses():
+    from gpgnn.layers import mlp_forward
+
     s = three_entity_sentence()
     model = tiny_model([s])
-    total = sentence_loss(model, s).item()
+    total = batch_losses(model, [s])[0].item()
     graph = build_entity_graph(s)
     labels = s.label_map()
+    (mats,) = transition_matrices(model, [s])
+    by_layer = [[m.tolist() for m in stack.data] for stack in mats.stacks]
     parts = 0.0
     for pair in graph.edges:
-        mats = model.transition_matrices(graph)
-        states = run_propagation(graph, mats, pair, model.dims.d_n, model.dims.layers,
+        states = run_propagation(graph, by_layer, pair, model.dims.d_n, model.dims.layers,
                                  model.dims.activation)
         rep = pair_representation(states, pair, model.dims.layers)
-        from gpgnn.layers import mlp_forward
-
         logits = mlp_forward(model.head, rep)
-        parts += ad.softmax_cross_entropy(logits, model.relations.index(labels[pair])).item()
+        parts += neg_log_softmax(logits.data, model.relations.index(labels[pair]))
     assert total == pytest.approx(parts, abs=1e-12)
 
 
@@ -363,37 +356,69 @@ def test_sentence_loss_missing_gold_label():
     s = Sentence(s.id, s.tokens, s.entities, s.triples[:-1])
     model = tiny_model([s])
     with pytest.raises(CorpusError, match="no gold label"):
-        sentence_loss(model, s)
+        batch_losses(model, [s])[0]
 
 
 def test_batch_losses_match_per_sentence_paths():
-    s2, s3 = two_entity_sentence(), three_entity_sentence()
-    extra = normalize_sentence(
-        make_sentence("toy-4", ["dan", "likes", "eve"], [(0, 1), (2, 3)], [(0, 1, "likes")]),
-        TOY_RELATIONS,
-    )
-    sentences = [s2, s3, extra]  # two share a length, one does not
+    sentences = mixed_batch()  # two share a length, two do not
     model = tiny_model(sentences)
     batched = [l.item() for l in batch_losses(model, sentences)]
-    singles = [sentence_loss(model, s).item() for s in sentences]
+    singles = [batch_losses(model, [s])[0].item() for s in sentences]
     np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=1e-12)
+
+
+def mixed_batch():
+    """m=2 and m=3 sentences of 3, 4 and 6 tokens; two share the 4-token
+    length, so one encoder run covers both."""
+    dan = normalize_sentence(
+        make_sentence("toy-dan", ["dan", "likes", "eve"], [(0, 1), (2, 3)], [(0, 1, "likes")]),
+        TOY_RELATIONS,
+    )
+    carl = normalize_sentence(
+        make_sentence("toy-carl", ["carl", "sees", "the", "bob"], [(0, 1), (3, 4)], [(0, 1, "sees")]),
+        TOY_RELATIONS,
+    )
+    return [two_entity_sentence(), three_entity_sentence(), dan, carl]
+
+
+@pytest.mark.parametrize("layers, tied", [(1, False), (2, False), (1, True), (2, True)],
+                         ids=["K1", "K2", "K1-tied", "K2-tied"])
+def test_batched_path_matches_per_pair_reference(layers, tied):
+    """batch_losses and predict_pairs equal the per-pair reference pipeline:
+    edge context, stepped BiLSTM, MLP, per-message propagation for one
+    target pair, representation, head, softmax and cross entropy."""
+    sentences = mixed_batch()
+    model = tiny_model(sentences, seed=11, layers=layers, tied=tied)
+    expected = [pair_outputs(model, s) for s in sentences]
+
+    losses = batch_losses(model, sentences)
+    weighted = batch_losses(model, sentences, na_weight=0.5)
+    for loss, weighted_loss, (_probs, pair_losses, targets) in zip(losses, weighted, expected):
+        assert loss.item() == pytest.approx(pair_losses.sum(), abs=1e-12)
+        na_scaled = np.where(targets == 0, 0.5, 1.0) * pair_losses
+        assert weighted_loss.item() == pytest.approx(na_scaled.sum(), abs=1e-12)
+
+    predicted = predict_pairs(model, sentences)
+    reference_probs = np.concatenate([probs for probs, _losses, _targets in expected])
+    assert len(predicted) == len(reference_probs)
+    np.testing.assert_allclose(
+        np.stack([p["probs"] for p in predicted]), reference_probs, rtol=0, atol=1e-12
+    )
 
 
 def test_na_weight_downscales_na_pairs():
     s = two_entity_sentence()  # (0,1) gold likes, (1,0) reversed liked_by: no NA
     s3 = three_entity_sentence()  # has NA pairs
     model = tiny_model([s3])
-    full = sentence_loss(model, s3).item()
-    weighted = sentence_loss(model, s3, na_weight=0.5).item()
+    full = batch_losses(model, [s3])[0].item()
+    weighted = batch_losses(model, [s3], na_weight=0.5)[0].item()
     graph = build_entity_graph(s3)
     labels = s3.label_map()
     na_share = 0.0
-    logits_all = model.pair_logits(graph, model.transition_matrices(graph), graph.edges)
+    logits_all = model.pair_logits(graph, transition_matrices(model, [s3])[0], graph.edges)
     for k, pair in enumerate(graph.edges):
         target = model.relations.index(labels[pair])
-        part = ad.softmax_cross_entropy(
-            Tensor(logits_all.data[k]), target
-        ).item()
+        part = neg_log_softmax(logits_all.data[k], target)
         if target == 0:
             na_share += part
     assert weighted == pytest.approx(full - 0.5 * na_share, abs=1e-10)
@@ -402,7 +427,7 @@ def test_na_weight_downscales_na_pairs():
 def test_permuting_entity_indices_leaves_loss_unchanged():
     s = three_entity_sentence()
     model = tiny_model([s])
-    base = sentence_loss(model, s).item()
+    base = batch_losses(model, [s])[0].item()
     perm = [2, 0, 1]  # new index of old entity k
     entities = [None] * 3
     for old, new in enumerate(perm):
@@ -412,7 +437,7 @@ def test_permuting_entity_indices_leaves_loss_unchanged():
         for t in s.triples
     ]
     permuted = Sentence(s.id, s.tokens, entities, triples)
-    assert sentence_loss(model, permuted).item() == pytest.approx(base, abs=1e-9)
+    assert batch_losses(model, [permuted])[0].item() == pytest.approx(base, abs=1e-9)
 
 
 def test_layer0_of_nontarget_nodes_never_enters_pair_representation():
@@ -430,13 +455,18 @@ def test_layer0_of_nontarget_nodes_never_enters_pair_representation():
 # full-model gradients
 
 
-@pytest.mark.parametrize("sentence_fn", [two_entity_sentence, three_entity_sentence])
-def test_full_model_grad_check(sentence_fn):
+@pytest.mark.parametrize("sentence_fn, tied", [
+    pytest.param(two_entity_sentence, False, id="two_entity_sentence"),
+    pytest.param(three_entity_sentence, False, id="three_entity_sentence"),
+    pytest.param(two_entity_sentence, True, id="two_entity_sentence-tied"),
+    pytest.param(three_entity_sentence, True, id="three_entity_sentence-tied"),
+])
+def test_full_model_grad_check(sentence_fn, tied):
     s = sentence_fn()
-    model = tiny_model([s], d_n=2)
+    model = tiny_model([s], d_n=2, tied=tied)
 
     def loss_fn():
-        return sentence_loss(model, s, training=False)
+        return batch_losses(model, [s], training=False)[0]
 
     reports = ad.grad_check_params(loss_fn, dict(model.store.named()), step=1e-5, tol=1e-4)
     failed = {n: r.max_rel_error for n, r in reports.items() if not r.passed}
@@ -447,7 +477,7 @@ def test_dropout_training_mode_changes_loss_but_eval_is_deterministic():
     s = three_entity_sentence()
     model = tiny_model([s], dropout=0.5)
     rng = np.random.default_rng(0)
-    a = sentence_loss(model, s, training=True, rng=rng).item()
-    b = sentence_loss(model, s, training=True, rng=rng).item()
+    a = batch_losses(model, [s], training=True, rng=rng)[0].item()
+    b = batch_losses(model, [s], training=True, rng=rng)[0].item()
     assert a != b
-    assert sentence_loss(model, s).item() == sentence_loss(model, s).item()
+    assert batch_losses(model, [s])[0].item() == batch_losses(model, [s])[0].item()

@@ -5,7 +5,9 @@ rule on its output tensor, so each forward pass lays down a fresh tape and no
 state survives between passes.  ``backward`` linearizes the operations
 reachable from a scalar loss into topological order and walks that tape in
 reverse.  Gradients accumulate additively, so a tensor used n times receives
-the sum of its n contributions.
+the sum of its n contributions.  Only leaves (tensors no op produced, such as
+parameters) receive ``grad``; an intermediate gradient lives only until its
+op's rule has run.  One ``lstm_sequence`` record covers a whole LSTM run.
 
 Everything is float64 on purpose: the models built on top are desk-scale, and
 exact arithmetic is what makes the central-difference oracle in ``grad_check``
@@ -37,11 +39,9 @@ __all__ = [
     "concat",
     "reshape",
     "gather_rows",
-    "tile_rows",
-    "slice_cols",
+    "lstm_sequence",
     "reduce_sum",
     "dropout",
-    "softmax",
     "softmax_cross_entropy_rows",
     "activation_fn",
     "backward",
@@ -162,36 +162,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a2 = a.data if a.ndim == 2 else a.data[None, :]
     b2 = b.data if b.ndim == 2 else b.data[:, None]
     out2 = a2 @ b2
-    out_shape = _matmul_out_shape(a.shape, b.shape)
 
     def rule(g: np.ndarray):
         g2 = g.reshape(out2.shape)
         return (g2 @ b2.T).reshape(a.shape), (a2.T @ g2).reshape(b.shape)
 
-    return _result(out2.reshape(out_shape), (a, b), rule)
-
-
-def _matmul_out_shape(sa: tuple[int, ...], sb: tuple[int, ...]) -> tuple[int, ...]:
-    if len(sa) == 2 and len(sb) == 2:
-        return (sa[0], sb[1])
-    if len(sa) == 1 and len(sb) == 2:
-        return (sb[1],)
-    if len(sa) == 2 and len(sb) == 1:
-        return (sa[0],)
-    return ()
+    # a vector operand contributes no axis to the result
+    return _result(out2.reshape(a.shape[:-1] + b.shape[1:]), (a, b), rule)
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product: (B,m,k) x (B,k,n) -> (B,m,n)."""
-    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+    """One shared stack times every block: (E,k,n) x (G,E,n,p) -> (G,E,k,p),
+    where matrix e of the stack multiplies matrix e of each of the G blocks.
+    The stack is never copied; its gradient sums over the blocks."""
+    if a.ndim != 3 or b.ndim != 4 or b.shape[1] != a.shape[0] or b.shape[2] != a.shape[2]:
         raise ShapeError(f"bmm shapes disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    out = ad @ bd
 
     def rule(g: np.ndarray):
-        return g @ bd.swapaxes(1, 2), ad.swapaxes(1, 2) @ g
+        return (g @ bd.swapaxes(2, 3)).sum(axis=0), ad.swapaxes(1, 2) @ g
 
-    return _result(out, (a, b), rule)
+    return _result(ad @ bd, (a, b), rule)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -322,70 +313,6 @@ def gather_rows(x: Tensor, indices, frozen_rows: Sequence[int] = ()) -> Tensor:
     return _result(x.data[idx], (x,), rule)
 
 
-def tile_rows(x: Tensor, reps: int) -> Tensor:
-    """Stack ``reps`` copies of x along a new leading dimension, flattened
-    into axis 0: (n, ...) -> (reps*n, ...)."""
-    if reps < 1:
-        raise ShapeError(f"tile_rows reps must be >= 1, got {reps}")
-    out = np.tile(x.data, (reps,) + (1,) * (x.ndim - 1))
-
-    def rule(g: np.ndarray):
-        return (g.reshape((reps,) + x.shape).sum(axis=0),)
-
-    return _result(out, (x,), rule)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"slice_cols [{start}:{stop}] on shape {x.shape}")
-
-    def rule(g: np.ndarray):
-        gx = np.zeros_like(x.data)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return _result(x.data[:, start:stop].copy(), (x,), rule)
-
-
-def lstm_cell(z: Tensor, c_prev: Tensor) -> Tensor:
-    """One LSTM cell update from fused pre-activations.
-
-    ``z`` is (B, 4H) laid out as the input, forget, output, and candidate
-    gate blocks; returns (B, 2H) packed as [h' ; c'].  One tape record covers
-    the whole gate arithmetic, with the standard hand-derived backward.
-    """
-    if z.ndim != 2 or z.shape[1] % 4 != 0:
-        raise ShapeError(f"lstm_cell needs (B, 4H) pre-activations, got {z.shape}")
-    hd = z.shape[1] // 4
-    if c_prev.shape != (z.shape[0], hd):
-        raise ShapeError(f"lstm_cell cell state {c_prev.shape} does not match H={hd}")
-    zd = z.data
-    i = _sigmoid_values(zd[:, :hd])
-    f = _sigmoid_values(zd[:, hd : 2 * hd])
-    o = _sigmoid_values(zd[:, 2 * hd : 3 * hd])
-    g = np.tanh(zd[:, 3 * hd :])
-    cp = c_prev.data
-    c = f * cp + i * g
-    tc = np.tanh(c)
-    out = np.concatenate([o * tc, c], axis=1)
-
-    def rule(gy: np.ndarray):
-        gh = gy[:, :hd]
-        gc = gy[:, hd:] + gh * o * (1.0 - tc * tc)
-        gz = np.concatenate(
-            [
-                gc * g * i * (1.0 - i),
-                gc * cp * f * (1.0 - f),
-                gh * tc * o * (1.0 - o),
-                gc * i * (1.0 - g * g),
-            ],
-            axis=1,
-        )
-        return gz, gc * f
-
-    return _result(out, (z, c_prev), rule)
-
-
 def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     if axis is None:
         out = x.data.sum()
@@ -413,6 +340,67 @@ def dropout(x: Tensor, ratio: float, rng: np.random.Generator | None, training: 
 
 
 # ---------------------------------------------------------------------------
+# recurrence
+
+
+def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, batch: int, reverse: bool = False) -> Tensor:
+    """An LSTM over ``batch`` equal-length sequences from zero states.
+
+    ``x`` holds time-major rows: row t*batch + k is timestep t of sequence k.
+    ``w`` (D, 4H), ``u`` (H, 4H) and ``b`` (4H,) lay out the input, forget,
+    output and candidate gate blocks side by side.  ``reverse`` runs from the
+    last timestep to the first.  Returns the final (batch, H) hidden state as
+    one tape record; its rule is backpropagation through time.
+    """
+    if x.ndim != 2 or batch < 1 or x.shape[0] == 0 or x.shape[0] % batch != 0:
+        raise ShapeError(f"lstm_sequence needs a nonempty multiple of {batch} time-major rows, got {x.shape}")
+    hd = u.shape[0]
+    if w.shape != (x.shape[1], 4 * hd) or u.shape != (hd, 4 * hd) or b.shape != (4 * hd,):
+        raise ShapeError(f"lstm_sequence gate blocks {w.shape}/{u.shape}/{b.shape} do not fit rows {x.shape}")
+    xd, wd, ud = x.data, w.data, u.data
+    times = range(x.shape[0] // batch)
+    blocks = [slice(t * batch, (t + 1) * batch) for t in (reversed(times) if reverse else times)]
+    h = c = np.zeros((batch, hd))
+    saved = []
+    for rows in blocks:
+        z = (xd[rows] @ wd + h @ ud) + b.data
+        i = _sigmoid_values(z[:, :hd])
+        f = _sigmoid_values(z[:, hd : 2 * hd])
+        o = _sigmoid_values(z[:, 2 * hd : 3 * hd])
+        g = np.tanh(z[:, 3 * hd :])
+        cp = c
+        c = f * cp + i * g
+        tc = np.tanh(c)
+        saved.append((h, cp, i, f, o, g, tc))
+        h = o * tc
+
+    def rule(gy: np.ndarray):
+        gx = np.empty_like(xd)
+        gw, gu, gb = np.zeros_like(wd), np.zeros_like(ud), np.zeros_like(b.data)
+        gh, gc = gy, np.zeros_like(gy)
+        for rows, (hp, cp, i, f, o, g, tc) in zip(reversed(blocks), reversed(saved)):
+            gc = gc + gh * o * (1.0 - tc * tc)
+            gz = np.concatenate(
+                [
+                    gc * g * i * (1.0 - i),
+                    gc * cp * f * (1.0 - f),
+                    gh * tc * o * (1.0 - o),
+                    gc * i * (1.0 - g * g),
+                ],
+                axis=1,
+            )
+            gw += xd[rows].T @ gz
+            gu += hp.T @ gz
+            gb += gz.sum(axis=0)
+            gx[rows] = gz @ wd.T
+            gh = gz @ ud.T
+            gc = gc * f
+        return gx, gw, gu, gb
+
+    return _result(h, (x, w, u, b), rule)
+
+
+# ---------------------------------------------------------------------------
 # softmax and losses
 
 
@@ -420,16 +408,6 @@ def _softmax_values(z: np.ndarray, axis: int) -> np.ndarray:
     shifted = z - z.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    y = _softmax_values(x.data, axis)
-
-    def rule(g: np.ndarray):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - inner),)
-
-    return _result(y, (x,), rule)
 
 
 def softmax_cross_entropy_rows(logits: Tensor, targets) -> Tensor:
@@ -483,8 +461,10 @@ def _trace(loss: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` for every requires_grad tensor reachable from the
-    scalar ``loss``, accumulating into any gradient already present."""
+    """Add the gradient of the scalar ``loss`` into ``grad`` of every
+    requires_grad leaf (a tensor no op produced) reachable from it.  Only
+    leaves receive ``grad``; each intermediate gradient is dropped as soon
+    as its op's rule has used it."""
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     order = _trace(loss)
@@ -498,8 +478,14 @@ def backward(loss: Tensor) -> None:
                 consumers[id(parent)] = consumers.get(id(parent), 0) + 1
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
-        g = flowing.get(id(node))
-        if g is None or node.op is None:
+        g = flowing.pop(id(node), None)
+        if g is None:
+            continue
+        if node.op is None:
+            if node.requires_grad:
+                # leaves (parameters) own their gradient outright so that
+                # in-place optimizer math can never alias another buffer
+                node.grad = np.array(g, dtype=np.float64, copy=True) if node.grad is None else node.grad + g
             continue
         grads = node.op.rule(g)
         for parent, gp in zip(node.op.inputs, grads):
@@ -514,17 +500,6 @@ def backward(loss: Tensor) -> None:
                     flowing[pid] = gp
             else:
                 slot += gp
-    for node in order:
-        if node.requires_grad:
-            g = flowing.get(id(node))
-            if g is None:
-                continue
-            if node.grad is None:
-                # leaves (parameters) own their gradient outright so that
-                # in-place optimizer math can never alias another buffer
-                node.grad = np.array(g, dtype=np.float64, copy=True) if node.op is None else g
-            else:
-                node.grad = node.grad + g
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .evaluation import (
     write_predictions,
 )
 from .gradcheck import full_model_gradcheck
+from .layers import CheckpointError
 from .model import ConfigError, GpGnn, predict_pairs
 from .synth import SynthSpec, synthesize_multihop_corpus
 from .training import SUB_SEEDS, TrainConfig, TrainingError, build_model, named_rngs, run_training
@@ -67,7 +68,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, EvaluationError, ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (CorpusError, EvaluationError, ConfigError, CheckpointError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingError as exc:

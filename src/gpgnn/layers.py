@@ -24,12 +24,16 @@ from .autodiff import (
     concat,
     dropout,
     gather_rows,
-    lstm_cell,
+    lstm_sequence,
     matmul,
-    slice_cols,
 )
 
 CHECKPOINT_VERSION = "gpgnn-ckpt-1"
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file is unreadable or does not fit the model."""
+
 
 PAD_ROW = 0
 UNK_ROW = 1
@@ -153,29 +157,18 @@ def bilstm_encode_batch(
     row t*batch + b is timestep t of sequence b.  Returns (batch, 2H)."""
     if rows.ndim != 2 or rows.shape[0] != length * batch:
         raise ShapeError(f"expected {length * batch} time-major rows, got {rows.shape}")
-    h_f = _run_direction(fwd, rows, length, batch, reverse=False)
-    h_b = _run_direction(bwd, rows, length, batch, reverse=True)
+    h_f = _run_direction(fwd, rows, batch, reverse=False)
+    h_b = _run_direction(bwd, rows, batch, reverse=True)
     return concat([h_f, h_b], axis=1)
 
 
-def _run_direction(p: LstmParams, rows: Tensor, length: int, batch: int, reverse: bool) -> Tensor:
-    # fuse the four gate blocks into one wide matmul per input and one cell
-    # op per step; the concats are on the tape, so gradients land back in the
-    # per-gate parameter tensors
-    hd = p.hidden_size
+def _run_direction(p: LstmParams, rows: Tensor, batch: int, reverse: bool) -> Tensor:
+    # fuse the four gate blocks into one wide matrix per input; the concats
+    # are on the tape, so gradients land back in the per-gate tensors
     w_all = concat([p.w_i, p.w_f, p.w_o, p.w_c], axis=1)
     u_all = concat([p.u_i, p.u_f, p.u_o, p.u_c], axis=1)
     b_all = concat([p.b_i, p.b_f, p.b_o, p.b_c], axis=0)
-    h = Tensor(np.zeros((batch, hd)))
-    c = Tensor(np.zeros((batch, hd)))
-    steps = range(length - 1, -1, -1) if reverse else range(length)
-    for t in steps:
-        x = gather_rows(rows, np.arange(t * batch, (t + 1) * batch))
-        z = add_bias(add(matmul(x, w_all), matmul(h, u_all)), b_all)
-        packed = lstm_cell(z, c)
-        h = slice_cols(packed, 0, hd)
-        c = slice_cols(packed, hd, 2 * hd)
-    return h
+    return lstm_sequence(rows, w_all, u_all, b_all, batch, reverse)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +284,11 @@ class ParameterStore:
         missing = sorted(set(self._params) - set(arrays))
         extra = sorted(set(arrays) - set(self._params))
         if missing or extra:
-            raise ValueError(f"checkpoint mismatch: missing={missing} extra={extra}")
+            raise CheckpointError(f"{path}: checkpoint mismatch: missing={missing} extra={extra}")
         for name, tensor in self._params.items():
             arr = arrays[name]
             if arr.shape != tensor.shape:
-                raise ValueError(f"checkpoint shape for {name!r}: {arr.shape} vs {tensor.shape}")
+                raise CheckpointError(f"{path}: checkpoint shape for {name!r}: {arr.shape} vs {tensor.shape}")
             tensor.data = arr
             tensor.zero_grad()
 
@@ -321,17 +314,35 @@ def save_checkpoint(path, tensors: dict[str, Tensor]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a file that ``save_checkpoint`` wrote.  A short file, a
+    malformed header or a tensor whose bytes lie outside the data is a
+    CheckpointError naming the path."""
     with open(path, "rb") as fh:
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
-        data = fh.read()
+        raw = memoryview(fh.read())
+    if len(raw) < 8:
+        raise CheckpointError(f"{path}: {len(raw)} bytes, too short for the 8-byte header length")
+    (hlen,) = struct.unpack_from("<Q", raw)
+    if hlen > len(raw) - 8:
+        raise CheckpointError(f"{path}: header of {hlen} bytes runs past the end of the file")
+    try:
+        header = json.loads(bytes(raw[8 : 8 + hlen]).decode())
+        version = header.get("version")
+        entries = {
+            name: (tuple(int(n) for n in e["shape"]), int(e["offset"]))
+            for name, e in header["tensors"].items()
+        }
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint header: {exc!r}") from None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
+    data = raw[8 + hlen :]
     arrays: dict[str, np.ndarray] = {}
-    for name, entry in header["tensors"].items():
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = entry["offset"]
+    for name, (shape, start) in entries.items():
+        count = int(np.prod(shape, dtype=np.int64))
+        if start < 0 or min(shape, default=0) < 0 or start + 8 * count > len(data):
+            raise CheckpointError(
+                f"{path}: tensor {name!r} {shape} at byte {start} lies outside the {len(data)} data bytes"
+            )
         flat = np.frombuffer(data, dtype="<f8", count=count, offset=start)
         arrays[name] = flat.astype(np.float64).reshape(shape)
     return arrays

@@ -34,7 +34,6 @@ from .autodiff import (
     reduce_sum,
     reshape,
     softmax_cross_entropy_rows,
-    tile_rows,
 )
 from .corpus import (
     NA_RELATION,
@@ -234,9 +233,8 @@ def propagate_layer(
     act = activation_fn(activation)
     src_base = np.fromiter((j for _i, j in edges), dtype=np.intp, count=e)
     src = (np.arange(groups, dtype=np.intp)[:, None] * m + src_base[None, :]).reshape(-1)
-    gathered = reshape(gather_rows(states, src), (groups * e, d, 1))
-    stack = tile_rows(matrices, groups) if groups > 1 else matrices
-    messages = act(bmm(stack, gathered))
+    gathered = reshape(gather_rows(states, src), (groups, e, d, 1))
+    messages = act(bmm(matrices, gathered))
     grouped = reshape(messages, (groups * m, m - 1, d))
     return reduce_sum(grouped, axis=1)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,6 +64,11 @@ class TrainConfig:
             raise ConfigError(f"d_n must be a positive even integer, got {self.d_n}")
         if not 0.0 < self.na_weight <= 1.0:
             raise ConfigError(f"na_weight must be in (0, 1], got {self.na_weight}")
+        # clip_norm 0 means no clipping
+        for name in ("learning_rate", "clip_norm"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
         if self.batch_size < 1 or self.epochs < 0 or self.patience < 0:
             raise ConfigError("batch_size must be >= 1 and epochs/patience >= 0")
 

@@ -20,6 +20,7 @@ import numpy as np
 from gpgnn.autodiff import (
     ShapeError,
     Tensor,
+    _softmax_values,
     add,
     add_bias,
     concat,
@@ -29,7 +30,6 @@ from gpgnn.autodiff import (
     no_grad,
     reshape,
     sigmoid,
-    softmax,
     tanh,
 )
 from gpgnn.corpus import RelationVocab, Sentence, Vocabulary
@@ -205,11 +205,11 @@ def pair_representation(states: NodeStates, target: tuple[int, int], layers: int
     return concat(blocks, axis=0)
 
 
-def classify_pair(rep: Tensor, head: MlpParams, relations: RelationVocab) -> Tensor:
+def classify_pair(rep: Tensor, head: MlpParams, relations: RelationVocab) -> np.ndarray:
     """Probability distribution over all relations (NA included)."""
     if head.output_size != len(relations):
         raise ShapeError(f"classifier emits {head.output_size} logits for {len(relations)} relations")
-    return softmax(mlp_forward(head, rep))
+    return _softmax_values(mlp_forward(head, rep).data, axis=-1)
 
 
 def neg_log_softmax(logits: np.ndarray, target: int) -> float:
@@ -254,7 +254,7 @@ def pair_outputs(model: GpGnn, sentence: Sentence) -> tuple[np.ndarray, np.ndarr
             states = run_propagation(graph, mats, pair, dims.d_n, dims.layers, dims.activation)
             rep = pair_representation(states, pair, dims.layers)
             target = model.relations.index(labels[pair])
-            probs.append(classify_pair(rep, model.head, model.relations).data)
+            probs.append(classify_pair(rep, model.head, model.relations))
             losses.append(neg_log_softmax(mlp_forward(model.head, rep).data, target))
             targets.append(target)
     return np.array(probs), np.array(losses), np.array(targets)

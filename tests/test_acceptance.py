@@ -68,7 +68,12 @@ def test_criterion_1_gradient_oracle():
     # finite-difference probes see one fixed function
     checks = {
         "matmul": (lambda x, c=Tensor(u(4, 2)): ad.reduce_sum(ad.matmul(x, c)), u(3, 4)),
-        "bmm": (lambda x, c=Tensor(u(3, 4, 2)): ad.reduce_sum(ad.bmm(x, c)), u(3, 2, 4)),
+        "bmm_stack": (
+            lambda x, c=Tensor(u(2, 3, 4, 1)), w=Tensor(u(2, 3, 2, 1)): ad.reduce_sum(ad.mul(ad.bmm(x, c), w)),
+            u(3, 2, 4)),
+        "bmm_blocks": (
+            lambda x, c=Tensor(u(3, 2, 4)), w=Tensor(u(2, 3, 2, 1)): ad.reduce_sum(ad.mul(ad.bmm(c, x), w)),
+            u(2, 3, 4, 1)),
         "add": (lambda x, c=Tensor(u(5)): ad.reduce_sum(ad.add(x, c)), u(5)),
         "add_bias": (lambda x, c=Tensor(u(3, 4)): ad.reduce_sum(ad.add_bias(c, x)), u(4)),
         "mul": (lambda x, c=Tensor(u(3, 3)): ad.reduce_sum(ad.mul(x, c)), u(3, 3)),
@@ -79,19 +84,22 @@ def test_criterion_1_gradient_oracle():
         "concat": (lambda x, c=Tensor(u(2, 3)): ad.reduce_sum(ad.concat([x, c], axis=0)), u(2, 3)),
         "reshape": (lambda x, c=Tensor(u(6)): ad.reduce_sum(ad.mul(ad.reshape(x, (6,)), c)), u(2, 3)),
         "gather_rows": (lambda x: ad.reduce_sum(ad.gather_rows(x, [1, 1, 3])), u(4, 3)),
-        "tile_rows": (lambda x, c=Tensor(u(6, 2)): ad.reduce_sum(ad.mul(ad.tile_rows(x, 3), c)), u(2, 2)),
-        "slice_cols": (lambda x: ad.reduce_sum(ad.slice_cols(x, 1, 3)), u(3, 4)),
         "reduce_sum_axis": (lambda x: ad.reduce_sum(ad.reduce_sum(x, axis=1)), u(2, 3, 2)),
-        "softmax": (lambda x, c=Tensor(u(5)): ad.reduce_sum(ad.mul(ad.softmax(x), c)), u(5)),
         "cross_entropy_rows": (
             lambda x: ad.reduce_sum(ad.softmax_cross_entropy_rows(x, [1, 0, 3])), u(3, 4)),
         "dropout": (
             lambda x: ad.reduce_sum(ad.dropout(x, 0.5, np.random.default_rng(0), True)), u(6, 4)),
-        "lstm_cell": (
-            lambda x, cp=Tensor(u(3, 2)), w=Tensor(u(3, 4)):
-                ad.reduce_sum(ad.mul(ad.lstm_cell(x, cp), w)),
-            u(3, 8)),
     }
+    # lstm_sequence over batch 2, 3 timesteps, D=3, H=2, against each operand
+    lstm_args = {"x": u(6, 3), "w": u(3, 8), "u": u(2, 8), "b": u(8)}
+    for reverse in (False, True):
+        for wrt in lstm_args:
+            def lstm_loss(p, wrt=wrt, reverse=reverse, c=Tensor(u(2, 2)),
+                          fixed={k: Tensor(v) for k, v in lstm_args.items()}):
+                a = {**fixed, wrt: p}
+                return ad.reduce_sum(ad.mul(ad.lstm_sequence(a["x"], a["w"], a["u"], a["b"], 2, reverse), c))
+
+            checks[f"lstm_sequence_{'reverse' if reverse else 'forward'}_{wrt}"] = (lstm_loss, lstm_args[wrt])
     worst_op, worst_err = None, 0.0
     for name, (f, point) in checks.items():
         result = ad.grad_check(f, Tensor(np.asarray(point)), step=step, tol=tol)

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -180,3 +181,48 @@ def test_model_json_from_before_workers_removal_loads(tmp_path, synth_dir, capsy
     assert "workers" in capsys.readouterr().err
 
     assert main(train_args + ["--out", str(tmp_path / "run2"), "--workers", "1"]) == EXIT_USAGE
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    data = root / "data"
+    assert main(["synth", "--out", str(data), "--seed", "4", "--sentences", "24", "--entities", "12",
+                 "--relations", "2", "--chains", "1", "--splits", "0.5,0.25,0.25"]) == EXIT_OK
+    cfg = write_config(root)
+    run = root / "run"
+    assert main(["train", "--train", str(data / "train.jsonl"), "--valid", str(data / "valid.jsonl"),
+                 "--relations", str(data / "relations.json"), "--config", str(cfg),
+                 "--out", str(run)]) == EXIT_OK
+    return data, run
+
+
+def _hidden_size_30(run):
+    obj = json.loads((run / "model.json").read_text())
+    obj["config"]["hidden_size"] = 30
+    (run / "model.json").write_text(json.dumps(obj))
+
+
+def _cut_checkpoint(keep):
+    def cut(run):
+        path = run / "checkpoint.bin"
+        raw = path.read_bytes()
+        path.write_bytes(raw[: keep(raw)])
+    return cut
+
+
+@pytest.mark.parametrize("corrupt", [
+    _hidden_size_30,
+    _cut_checkpoint(lambda raw: 4),
+    _cut_checkpoint(lambda raw: len(raw) // 2),
+    _cut_checkpoint(lambda raw: 8 + int.from_bytes(raw[:8], "little") // 2),
+], ids=["model-json-hidden-size", "four-bytes", "half", "inside-header"])
+def test_checkpoint_load_errors_are_data_errors_naming_the_file(tmp_path, trained_run, corrupt, capsys):
+    data, run = trained_run
+    bad = tmp_path / "run"
+    shutil.copytree(run, bad)
+    corrupt(bad)
+    capsys.readouterr()
+    assert main(["eval", "--model-dir", str(bad), "--data", str(data / "test.jsonl"),
+                 "--out", str(tmp_path / "eval")]) == EXIT_DATA
+    assert str(bad / "checkpoint.bin") in capsys.readouterr().err

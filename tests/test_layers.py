@@ -202,17 +202,41 @@ def test_fused_direction_matches_stepped_lstm(rng):
 
     p = LstmParams.create(3, 4, rng)
     seq = rng.uniform(-1, 1, (6, 3))
-    fused = _run_direction(p, Tensor(seq), length=6, batch=1, reverse=False).data[0]
-    h = c = Tensor(np.zeros(4))
-    for t in range(6):
-        h, c = lstm_step(p, Tensor(seq[t]), h, c)
-    np.testing.assert_allclose(fused, h.data, atol=1e-12)
+    for reverse, order in ((False, range(6)), (True, range(5, -1, -1))):
+        fused = _run_direction(p, Tensor(seq), batch=1, reverse=reverse).data[0]
+        h = c = Tensor(np.zeros(4))
+        for t in order:
+            h, c = lstm_step(p, Tensor(seq[t]), h, c)
+        np.testing.assert_allclose(fused, h.data, atol=1e-12)
 
-    fused_rev = _run_direction(p, Tensor(seq), length=6, batch=1, reverse=True).data[0]
-    h = c = Tensor(np.zeros(4))
-    for t in range(5, -1, -1):
-        h, c = lstm_step(p, Tensor(seq[t]), h, c)
-    np.testing.assert_allclose(fused_rev, h.data, atol=1e-12)
+
+@pytest.mark.parametrize("length", [1, 5])
+def test_bilstm_gradients_match_stepped_lstm(rng, length):
+    """``backward`` through the batched encoder gives every LSTM parameter
+    and every input row the gradient of the token-by-token oracle."""
+    batch, width = 3, 3
+    fwd = LstmParams.create(width, 4, rng)
+    bwd = LstmParams.create(width, 4, rng)
+    params = [t for p in (fwd, bwd) for _n, t in p.named()]
+    assert len(params) == 24
+    rows = Tensor(rng.uniform(-1, 1, (length * batch, width)), requires_grad=True)
+    weights = rng.uniform(-1, 1, (batch, 8))
+
+    def grads(loss):
+        for t in params + [rows]:
+            t.zero_grad()
+        ad.backward(loss)
+        return [t.grad.copy() for t in params + [rows]]
+
+    batched = bilstm_encode_batch(fwd, bwd, rows, length=length, batch=batch)
+    fused = grads(ad.reduce_sum(ad.mul(batched, Tensor(weights))))
+    parts = []
+    for b in range(batch):
+        seq = ad.gather_rows(rows, [t * batch + b for t in range(length)])
+        parts.append(ad.reduce_sum(ad.mul(bilstm_encode(fwd, bwd, seq), Tensor(weights[b]))))
+    stepped = grads(ad.reduce_sum(ad.concat([ad.reshape(x, (1,)) for x in parts], axis=0)))
+    for got, want in zip(fused, stepped):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_bilstm_batch_matches_per_sequence(rng):

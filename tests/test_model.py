@@ -241,6 +241,47 @@ def test_propagation_matches_naive_loop(m, d_n, activation, blocks, seed):
         np.testing.assert_allclose(fast[rows], np.array(slow), atol=1e-12)
 
 
+def _recorded(out):
+    """Every tensor an op produced under ``out``, found through op.inputs."""
+    found, todo = {}, [out]
+    while todo:
+        t = todo.pop()
+        if t.op is not None and id(t) not in found:
+            found[id(t)] = t
+            todo.extend(t.op.inputs)
+    return list(found.values())
+
+
+def test_tape_shape_of_encoder_and_propagation(rng):
+    """The encoder records a fixed number of ops whatever the sentence
+    length, propagation never copies the shared stack per block, and
+    ``backward`` leaves ``grad`` on leaves only."""
+    from gpgnn.layers import LstmParams, bilstm_encode_batch
+
+    fwd = LstmParams.create(3, 4, rng)
+    bwd = LstmParams.create(3, 4, rng)
+    counts = []
+    for length in (2, 12):
+        rows = Tensor(rng.uniform(-1, 1, (length * 5, 3)), requires_grad=True)
+        counts.append(len(_recorded(bilstm_encode_batch(fwd, bwd, rows, length=length, batch=5))))
+    assert counts[0] == counts[1]
+
+    m, d, blocks = 4, 3, 5
+    edges = [(i, j) for i in range(m) for j in range(m) if j != i]
+    mats = Tensor(rng.uniform(-1, 1, (len(edges), d, d)), requires_grad=True)
+    states = Tensor(rng.uniform(-1, 1, (blocks * m, d)), requires_grad=True)
+    out = propagate_layer(states, mats, edges, "tanh")
+    assert all(t.size < blocks * len(edges) * d * d for t in _recorded(out))
+
+    encoded = bilstm_encode_batch(fwd, bwd, rows, length=12, batch=5)
+    loss = ad.add(ad.reduce_sum(out), ad.reduce_sum(encoded))
+    ad.backward(loss)
+    tape = _recorded(loss)
+    assert all(t.grad is None for t in tape)
+    leaves = [mats, states, rows] + [t for p in (fwd, bwd) for _n, t in p.named()]
+    assert all(t.grad is not None for t in leaves)
+
+
 # ---------------------------------------------------------------------------
 # pair representation and classification
 
@@ -270,7 +311,7 @@ def test_pair_representation_width_and_zero_blocks(rng):
 def test_classify_pair_distribution_and_uniform(rng):
     head = MlpParams.create([4, 6, len(TOY_RELATIONS)], "relu", rng)
     rep = Tensor(rng.uniform(-1, 1, 4))
-    probs = classify_pair(rep, head, TOY_RELATIONS).data
+    probs = classify_pair(rep, head, TOY_RELATIONS)
     assert np.all(probs >= 0)
     assert abs(probs.sum() - 1.0) < 1e-12
 
@@ -278,7 +319,7 @@ def test_classify_pair_distribution_and_uniform(rng):
         w.data[:] = 0.0
     for b in head.biases:
         b.data[:] = 0.0
-    probs = classify_pair(rep, head, TOY_RELATIONS).data
+    probs = classify_pair(rep, head, TOY_RELATIONS)
     np.testing.assert_allclose(probs, np.full(len(TOY_RELATIONS), 1.0 / len(TOY_RELATIONS)), atol=1e-15)
 
 
@@ -290,8 +331,8 @@ def test_classify_pair_head_width_must_match(rng):
 
 def test_softmax_argmax_shift_invariance(rng):
     logits = rng.uniform(-2, 2, 7)
-    base = ad.softmax(Tensor(logits)).data
-    shifted = ad.softmax(Tensor(logits + 123.456)).data
+    base = ad._softmax_values(logits, axis=-1)
+    shifted = ad._softmax_values(logits + 123.456, axis=-1)
     assert np.argmax(base) == np.argmax(shifted)
     np.testing.assert_allclose(base, shifted, atol=1e-12)
 

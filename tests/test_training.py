@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gpgnn.autodiff import Tensor, backward, mul, reduce_sum, scale
+from gpgnn.cli import EXIT_DATA, main
 from gpgnn.corpus import Vocabulary, normalize_dataset
 from gpgnn.layers import EmbeddingTable, ParameterStore
 from gpgnn.model import ConfigError
@@ -60,7 +61,7 @@ def test_reference_defaults():
     assert cfg.adjacency == "untied"
 
 
-def test_config_validation():
+def test_config_validation(tmp_path, capsys):
     with pytest.raises(ConfigError):
         TrainConfig(layers=0)
     with pytest.raises(ConfigError):
@@ -71,6 +72,19 @@ def test_config_validation():
         TrainConfig(na_weight=0.0)
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"learning_rte": 0.1})
+    for field in ("learning_rate", "clip_norm"):
+        for bad in (float("nan"), float("inf"), float("-inf"), -0.001, "0.1"):
+            with pytest.raises(ConfigError, match=field):
+                TrainConfig(**{field: bad})
+        TrainConfig(**{field: 0.0})  # lr 0 freezes the weights; clip_norm 0 turns clipping off
+
+    path = tmp_path / "config.json"
+    for field in ("learning_rate", "clip_norm"):
+        path.write_text(f'{{"{field}": NaN}}')
+        code = main(["train", "--train", "t.jsonl", "--valid", "v.jsonl", "--relations", "r.json",
+                     "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_DATA
+        assert field in capsys.readouterr().err
 
 
 def test_config_json_roundtrip(tmp_path):

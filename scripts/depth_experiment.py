@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass
 
 from gpgnn.corpus import Vocabulary, normalize_dataset
-from gpgnn.evaluation import records_from_pairs
 from gpgnn.model import predict_pairs
 from gpgnn.synth import SynthSpec, synthesize_multihop_corpus
 from gpgnn.training import TrainConfig, build_model, run_training
@@ -86,7 +85,7 @@ def run_once(layers: int, seed: int, epochs: int = 80, n_sentences: int = 160) -
     model = build_model(config, Vocabulary.build(train), relations)
     t0 = time.monotonic()
     result = run_training(config, train, valid, model)
-    records = records_from_pairs(predict_pairs(model, test))
+    records = predict_pairs(model, test)
 
     implied_hits = implied_total = premise_hits = premise_total = correct = 0
     for r in records:

@@ -16,7 +16,6 @@ decisive rather than suggestive.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -55,22 +54,18 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-_state = threading.local()
-
-
-def _recording() -> bool:
-    return getattr(_state, "enabled", True)
+_recording = True
 
 
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (forward-only evaluation)."""
-    prev = _recording()
-    _state.enabled = False
+    global _recording
+    prev, _recording = _recording, False
     try:
         yield
     finally:
-        _state.enabled = prev
+        _recording = prev
 
 
 class Op:
@@ -88,9 +83,7 @@ class Tensor:
     """A dense float64 array plus the bookkeeping ``backward`` needs.
 
     ``grad`` starts as None and accumulates across backward calls; optimizer
-    steps are expected to clear it.  Tensors and the graphs hanging off them
-    are confined to a single worker; independent workers build independent
-    graphs.
+    steps are expected to clear it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "op")
@@ -124,24 +117,9 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
 
 def _result(data: np.ndarray, inputs: tuple[Tensor, ...], rule: Callable) -> Tensor:
-    needs = _recording() and any(t.requires_grad for t in inputs)
+    needs = _recording and any(t.requires_grad for t in inputs)
     return Tensor(data, requires_grad=needs, op=Op(inputs, rule) if needs else None)
 
 
@@ -290,10 +268,9 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _result(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
-def gather_rows(x: Tensor, indices, frozen_rows: Sequence[int] = ()) -> Tensor:
+def gather_rows(x: Tensor, indices) -> Tensor:
     """Select rows along axis 0.  The backward pass scatter-adds, so repeated
-    indices accumulate; rows listed in ``frozen_rows`` get their gradient
-    zeroed (used for padding rows that must never train)."""
+    indices accumulate."""
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError(f"gather_rows indices must be 1-d, got shape {idx.shape}")
@@ -301,13 +278,10 @@ def gather_rows(x: Tensor, indices, frozen_rows: Sequence[int] = ()) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         bad = int(idx[(idx < 0) | (idx >= rows)][0])
         raise IndexError(f"row index {bad} out of range for {rows} rows")
-    frozen = tuple(frozen_rows)
 
     def rule(g: np.ndarray):
         gx = np.zeros_like(x.data)
         np.add.at(gx, idx, g)
-        for r in frozen:
-            gx[r] = 0.0
         return (gx,)
 
     return _result(x.data[idx], (x,), rule)
@@ -468,14 +442,9 @@ def backward(loss: Tensor) -> None:
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     order = _trace(loss)
-    # A tensor consumed once never has its slot accumulated into, so its
-    # incoming gradient can be stored by reference; multi-consumer slots own
-    # a private copy because later contributions add in place.
-    consumers: dict[int, int] = {}
-    for node in order:
-        if node.op is not None:
-            for parent in node.op.inputs:
-                consumers[id(parent)] = consumers.get(id(parent), 0) + 1
+    # No array a rule returns is ever written in place, so the first
+    # gradient to reach a node is held by reference and later ones add out
+    # of place.
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
         g = flowing.pop(id(node), None)
@@ -491,15 +460,8 @@ def backward(loss: Tensor) -> None:
         for parent, gp in zip(node.op.inputs, grads):
             if gp is None or not parent.requires_grad:
                 continue
-            pid = id(parent)
-            slot = flowing.get(pid)
-            if slot is None:
-                if consumers.get(pid, 0) > 1:
-                    flowing[pid] = np.array(gp, dtype=np.float64, copy=True)
-                else:
-                    flowing[pid] = gp
-            else:
-                slot += gp
+            slot = flowing.get(id(parent))
+            flowing[id(parent)] = gp if slot is None else slot + gp
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +473,6 @@ class GradCheckReport:
     """Outcome of comparing analytic gradients against central differences."""
 
     max_rel_error: float
-    worst_index: tuple[int, ...] | None
     n_checked: int
     tol: float
 
@@ -532,25 +493,17 @@ def grad_check(
     tol: float = 1e-4,
 ) -> GradCheckReport:
     """Check the analytic gradient of scalar-valued ``f`` at ``point`` against
-    central finite differences, coordinate by coordinate.
-
-    ``f`` is re-run under ``no_grad`` at the probe points, so it must rebuild
-    its graph per call (define-by-run style).  Raises on non-finite values at
-    any probe point.
-    """
+    central finite differences, coordinate by coordinate (``grad_check_params``
+    with one parameter).  Raises ValueError when ``f`` does not reach
+    ``point``."""
     point.requires_grad = True
-    point.zero_grad()
-    loss = f(point)
-    backward(loss)
+    report = grad_check_params(lambda: f(point), {"point": point}, step, tol)["point"]
     if point.grad is None:
         raise ValueError("f does not depend on the checked point")
-    analytic = point.grad.copy()
-    numeric = _central_differences(f, point, step)
-    rel = _relative_errors(analytic, numeric)
-    return _report(rel, tol)
+    return report
 
 
-def _central_differences(f: Callable[[Tensor], Tensor], point: Tensor, step: float) -> np.ndarray:
+def _central_differences(loss_fn: Callable[[], Tensor], point: Tensor, step: float) -> np.ndarray:
     numeric = np.zeros_like(point.data)
     flat = point.data.reshape(-1)
     num_flat = numeric.reshape(-1)
@@ -558,26 +511,14 @@ def _central_differences(f: Callable[[Tensor], Tensor], point: Tensor, step: flo
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + step
-            hi = f(point).item()
+            hi = loss_fn().item()
             flat[k] = orig - step
-            lo = f(point).item()
+            lo = loss_fn().item()
             flat[k] = orig
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 raise FloatingPointError(f"non-finite value at finite-difference probe {k}")
             num_flat[k] = (hi - lo) / (2.0 * step)
     return numeric
-
-
-def _report(rel: np.ndarray, tol: float) -> GradCheckReport:
-    if rel.size == 0:
-        return GradCheckReport(0.0, None, 0, tol)
-    worst = int(np.argmax(rel))
-    return GradCheckReport(
-        max_rel_error=float(rel.reshape(-1)[worst]),
-        worst_index=tuple(int(i) for i in np.unravel_index(worst, rel.shape)),
-        n_checked=int(rel.size),
-        tol=tol,
-    )
 
 
 def grad_check_params(
@@ -588,8 +529,10 @@ def grad_check_params(
 ) -> dict[str, GradCheckReport]:
     """Run the finite-difference oracle for every named parameter of a model.
 
-    ``loss_fn`` takes no arguments and must be deterministic (evaluation-mode
-    dropout) so repeated calls probe the same function.
+    ``loss_fn`` takes no arguments and must rebuild its graph per call
+    (define-by-run style); it is re-run under ``no_grad`` at the probe
+    points, so it must be deterministic (evaluation-mode dropout).  Raises on
+    non-finite values at any probe point.
     """
     for p in params.values():
         p.zero_grad()
@@ -598,7 +541,6 @@ def grad_check_params(
     reports: dict[str, GradCheckReport] = {}
     for name, p in params.items():
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        numeric = _central_differences(lambda _t: loss_fn(), p, step)
-        rel = _relative_errors(analytic, numeric)
-        reports[name] = _report(rel, tol)
+        rel = _relative_errors(analytic, _central_differences(loss_fn, p, step))
+        reports[name] = GradCheckReport(float(rel.max()) if rel.size else 0.0, rel.size, tol)
     return reports

@@ -32,7 +32,6 @@ from .corpus import (
 from .evaluation import (
     EvaluationError,
     metrics_report,
-    records_from_pairs,
     write_metrics_report,
     write_pr_csv,
     write_predictions,
@@ -159,6 +158,14 @@ def _parse_splits(text: str) -> tuple[float, float, float]:
     return parts
 
 
+def _parse_mid_tokens(text: str) -> tuple[int, int]:
+    try:
+        lo, hi = (int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"--mid-tokens needs two integers 'lo,hi', got {text!r}") from None
+    return lo, hi
+
+
 def _write_manifest(out_dir: Path, command: str, argv, seed, inputs, outputs, counts, config=None):
     manifest = {
         "command": command,
@@ -235,13 +242,10 @@ def cmd_synth(args, argv) -> int:
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        raw.setdefault("seed", args.seed)
-        if "composition" in raw and raw["composition"] is not None:
-            raw["composition"] = [tuple(rule) for rule in raw["composition"]]
-        for key in ("mid_tokens", "splits"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        spec = SynthSpec(**raw)
+        try:
+            spec = SynthSpec.from_dict(raw, seed=args.seed)
+        except CorpusError as exc:
+            raise CorpusError(f"{args.spec}: {exc}") from None
         inputs = [args.spec]
     else:
         spec = SynthSpec(
@@ -250,7 +254,7 @@ def cmd_synth(args, argv) -> int:
             n_sentences=args.sentences,
             seed=args.seed,
             chains_per_sentence=args.chains,
-            mid_tokens=tuple(int(x) for x in args.mid_tokens.split(",")),
+            mid_tokens=_parse_mid_tokens(args.mid_tokens),
             splits=_parse_splits(args.splits),
         )
         inputs = []
@@ -270,6 +274,8 @@ def cmd_synth(args, argv) -> int:
 def _load_split(path, relations: RelationVocab):
     sentences = list(parse_corpus_file(path))
     normalized, skips = normalize_dataset(sentences, relations)
+    if not normalized:
+        raise CorpusError(f"{path}: no sentence left after normalization")
     return normalized, dict(sorted(skips.items()))
 
 
@@ -334,13 +340,33 @@ def _write_model_json(path, config: TrainConfig, vocab: Vocabulary, relations: R
         fh.write("\n")
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def load_trained_model(model_dir) -> tuple[GpGnn, TrainConfig, RelationVocab]:
+    """The model ``gpgnn train`` wrote to ``model_dir``.  A malformed
+    ``model.json`` is a data error naming that file."""
     model_dir = Path(model_dir)
-    with open(model_dir / "model.json", "r", encoding="utf-8") as fh:
+    path = model_dir / "model.json"
+    with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    config = TrainConfig.from_dict(obj["config"])
-    vocab = Vocabulary(obj["vocab"])
-    relations = RelationVocab(obj["relations"], obj.get("inverse"))
+    if not isinstance(obj, dict):
+        raise CorpusError(f"{path}: not a JSON object")
+    inverse = obj.get("inverse", {})
+    for key, ok in (("config", isinstance(obj.get("config"), dict)),
+                    ("vocab", _is_str_list(obj.get("vocab"))),
+                    ("relations", _is_str_list(obj.get("relations"))),
+                    ("inverse", isinstance(inverse, dict) and _is_str_list(list(inverse.values())))):
+        if not ok:
+            raise CorpusError(f"{path}: {key!r} is missing or malformed (config and inverse are objects, "
+                              "vocab and relations lists of strings)")
+    try:
+        config = TrainConfig.from_dict(obj["config"])
+        vocab = Vocabulary(obj["vocab"])
+        relations = RelationVocab(obj["relations"], inverse)
+    except (ConfigError, CorpusError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     model = build_model(config, vocab, relations)
     model.store.load(model_dir / "checkpoint.bin")
     return model, config, relations
@@ -349,7 +375,7 @@ def load_trained_model(model_dir) -> tuple[GpGnn, TrainConfig, RelationVocab]:
 def cmd_eval(args, argv) -> int:
     model, config, relations = load_trained_model(args.model_dir)
     data, skips = _load_split(args.data, relations)
-    records = records_from_pairs(predict_pairs(model, data))
+    records = predict_pairs(model, data)
     report, ranked = metrics_report(records, relations, population=args.population)
     report["counts"]["normalization_skips"] = skips
     out = Path(args.out)
@@ -370,7 +396,7 @@ def cmd_eval(args, argv) -> int:
 def cmd_predict(args, argv) -> int:
     model, config, relations = load_trained_model(args.model_dir)
     data, skips = _load_split(args.data, relations)
-    records = records_from_pairs(predict_pairs(model, data))
+    records = predict_pairs(model, data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_predictions(out / "predictions.jsonl", records)

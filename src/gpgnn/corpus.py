@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .layers import PAD_ROW, UNK_ROW, EmbeddingTable
+from .layers import UNK_ROW, EmbeddingTable
 
 logger = logging.getLogger(__name__)
 
@@ -380,7 +380,6 @@ class Vocabulary:
     unknown token; everything is case-folded to match lowercase pretrained
     embedding conventions."""
 
-    PAD = PAD_ROW
     UNK = UNK_ROW
 
     def __init__(self, tokens: Sequence[str]):
@@ -445,7 +444,7 @@ def load_embedding_file(path, vocab: Vocabulary, rng: np.random.Generator) -> Em
     if not vectors:
         logger.warning("%s: zero overlap with the vocabulary", path)
 
-    table = EmbeddingTable.create(len(vocab), GLOVE_DIM, rng, trainable=True, reserved=True)
+    table = EmbeddingTable.create(len(vocab), GLOVE_DIM, rng)
     weights = table.weights.data
     for k, token in enumerate(vocab.tokens):
         vec = vectors.get(token)

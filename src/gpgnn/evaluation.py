@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import NA_RELATION, CorpusError, RelationVocab
+from .corpus import NA_RELATION, RelationVocab
 
 
 class EvaluationError(ValueError):
@@ -54,38 +54,6 @@ class PredictionRecord:
         return json.dumps(obj, ensure_ascii=False)
 
 
-def record_from_obj(obj: dict) -> PredictionRecord:
-    try:
-        probs = np.asarray(obj["probs"], dtype=np.float64)
-        return PredictionRecord(
-            sentence_id=obj["sentence_id"],
-            subject_idx=int(obj["subject_idx"]),
-            object_idx=int(obj["object_idx"]),
-            probs=probs,
-            gold=obj["gold"],
-            subject_kb=obj.get("subject_kb"),
-            object_kb=obj.get("object_kb"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusError(f"bad prediction record: {exc}") from exc
-
-
-def records_from_pairs(pairs: Iterable[dict]) -> list[PredictionRecord]:
-    """Adapt the dicts produced by the model's prediction pass."""
-    return [
-        PredictionRecord(
-            sentence_id=p["sentence_id"],
-            subject_idx=p["subject_idx"],
-            object_idx=p["object_idx"],
-            probs=np.asarray(p["probs"], dtype=np.float64),
-            gold=p["gold"],
-            subject_kb=p.get("subject_kb"),
-            object_kb=p.get("object_kb"),
-        )
-        for p in pairs
-    ]
-
-
 def write_predictions(path, records: Iterable[PredictionRecord]) -> int:
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
@@ -94,16 +62,6 @@ def write_predictions(path, records: Iterable[PredictionRecord]) -> int:
             fh.write("\n")
             n += 1
     return n
-
-
-def read_predictions(path) -> list[PredictionRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(record_from_obj(json.loads(line)))
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +224,13 @@ def write_pr_csv(path, ranked: Sequence[RankedFact], n_gold: int) -> None:
 # the combined report
 
 
+P_AT_K = (5, 10, 15, 20)  # the P@K% cutoffs every report gives
+
+
 def metrics_report(
     records: Sequence[PredictionRecord],
     relations: RelationVocab,
     population: str = "predictions",
-    k_values: Sequence[int] = (5, 10, 15, 20),
 ) -> tuple[dict, list[RankedFact] | None]:
     """Sentence metrics plus bag-level P@K%, with the decisions that shaped
     the numbers echoed alongside them.  Also returns the ranked facts the
@@ -302,7 +262,7 @@ def metrics_report(
         ranked = rank_facts(bags, gold, relations, population=population)
         report["counts"]["candidates"] = len(ranked)
         total = len(gold) if population == "gold-size" else None
-        for k in k_values:
+        for k in P_AT_K:
             report["p_at"][str(k)] = (
                 precision_at_k_percent(ranked, float(k), total=total) if ranked else 0.0
             )

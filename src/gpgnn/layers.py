@@ -52,13 +52,13 @@ def uniform_init(rng: np.random.Generator, shape: Sequence[int], fan_in: int) ->
 class EmbeddingTable:
     """A (rows, dim) lookup table.
 
-    Vocabulary tables reserve row 0 as padding (frozen zeros) and row 1 as the
-    unknown token; marker tables (``reserved=False``) train all rows.
+    Vocabulary tables reserve row 0 as padding and row 1 as the unknown
+    token.  Row 0 starts at zero and stays there because no token id maps to
+    it, so it never receives a gradient; marker tables (``reserved=False``)
+    use every row.
     """
 
     weights: Tensor
-    trainable: bool = True
-    reserved: bool = True
 
     @property
     def rows(self) -> int:
@@ -74,21 +74,19 @@ class EmbeddingTable:
         rows: int,
         dim: int,
         rng: np.random.Generator,
-        trainable: bool = True,
         reserved: bool = True,
     ) -> "EmbeddingTable":
         bound = 1.0 / np.sqrt(float(dim))
         w = rng.uniform(-bound, bound, size=(rows, dim))
         if reserved:
             w[PAD_ROW] = 0.0
-        return cls(Tensor(w, requires_grad=trainable), trainable=trainable, reserved=reserved)
+        return cls(Tensor(w, requires_grad=True))
 
 
 def embedding_lookup(table: EmbeddingTable, indices) -> Tensor:
     """Gather rows; the backward pass scatters gradient only into the rows
-    that were looked up, and never into the frozen padding row."""
-    frozen = (PAD_ROW,) if table.reserved else ()
-    return gather_rows(table.weights, indices, frozen_rows=frozen)
+    that were looked up."""
+    return gather_rows(table.weights, indices)
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +114,6 @@ class LstmParams:
     w_c: Tensor
     u_c: Tensor
     b_c: Tensor
-
-    @property
-    def hidden_size(self) -> int:
-        return self.b_i.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_i.shape[0]
 
     @classmethod
     def create(cls, input_size: int, hidden_size: int, rng: np.random.Generator) -> "LstmParams":
@@ -256,15 +246,6 @@ class ParameterStore:
     def register_all(self, prefix: str, named: Iterable[tuple[str, Tensor]]) -> None:
         for name, tensor in named:
             self.register(f"{prefix}.{name}", tensor)
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def get(self, name: str) -> Tensor:
-        return self._params[name]
 
     def named(self) -> list[tuple[str, Tensor]]:
         return sorted(self._params.items())

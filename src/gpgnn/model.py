@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .autodiff import (
+    ACTIVATIONS,
     ShapeError,
     Tensor,
     _softmax_values,
@@ -44,6 +45,7 @@ from .corpus import (
     SkipSentence,
     Vocabulary,
 )
+from .evaluation import PredictionRecord
 from .layers import (
     EmbeddingTable,
     LstmParams,
@@ -61,6 +63,17 @@ MARKER_SECOND = 2
 
 class ConfigError(ValueError):
     """A model hyperparameter violates its constraints."""
+
+
+def check_int(name: str, value, low: int) -> None:
+    """ConfigError naming ``name`` unless ``value`` is an int (not a bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def is_number(value) -> bool:
+    """An int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +199,7 @@ def encode_edge_rows(
 
 
 def flag_vectors(d_n: int) -> tuple[np.ndarray, np.ndarray]:
-    if d_n < 2 or d_n % 2 != 0:
-        raise ConfigError(f"node-state width must be a positive even integer, got {d_n}")
+    """The subject flag (ones, then zeros) and its mirror, for an even d_n."""
     subject = np.concatenate([np.ones(d_n // 2), np.zeros(d_n // 2)])
     return subject, subject[::-1].copy()
 
@@ -245,6 +257,8 @@ def propagate_layer(
 
 @dataclass(frozen=True)
 class ModelDims:
+    """The model's hyperparameters, each checked here and nowhere else."""
+
     d_n: int
     layers: int
     hidden_size: int
@@ -254,14 +268,15 @@ class ModelDims:
     word_dim: int
     position_dim: int
 
-    def validate(self) -> None:
-        if self.d_n < 2 or self.d_n % 2 != 0:
-            raise ConfigError(f"node-state width must be a positive even integer, got {self.d_n}")
-        if self.layers < 1:
-            raise ConfigError(f"need at least one propagation layer, got {self.layers}")
-        activation_fn(self.activation)
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+    def __post_init__(self) -> None:
+        for name in ("layers", "hidden_size", "word_dim", "position_dim", "d_n"):
+            check_int(name, getattr(self, name), 1)
+        if self.d_n % 2 != 0:
+            raise ConfigError(f"d_n (node-state width) must be even, got {self.d_n}")
+        if not isinstance(self.activation, str) or self.activation not in ACTIVATIONS:
+            raise ConfigError(f"activation must be one of {sorted(ACTIVATIONS)}, got {self.activation!r}")
+        if not (is_number(self.dropout) and 0.0 <= self.dropout < 1.0):
+            raise ConfigError(f"dropout must be a number in [0, 1), got {self.dropout!r}")
 
 
 class GpGnn:
@@ -276,7 +291,6 @@ class GpGnn:
         rng: np.random.Generator,
         word_table: EmbeddingTable | None = None,
     ):
-        dims.validate()
         self.dims = dims
         self.vocab = vocab
         self.relations = relations
@@ -296,8 +310,7 @@ class GpGnn:
             [dims.layers * dims.d_n, dims.hidden_size, len(relations)], dims.activation, rng
         )
         self.store = ParameterStore()
-        if self.word_table.trainable:
-            self.store.register("word_embedding.weights", self.word_table.weights)
+        self.store.register("word_embedding.weights", self.word_table.weights)
         self.store.register("position_embedding.weights", self.pos_table.weights)
         for n, enc in enumerate(self.encoders):
             prefix = "encoder.shared" if dims.tied else f"encoder.layer{n}"
@@ -344,8 +357,6 @@ def _loss_from_matrices(
     logits = model.pair_logits(graph, matrices, graph.edges, training=training, rng=rng)
     losses = softmax_cross_entropy_rows(logits, targets)
     if na_weight != 1.0:
-        if not 0.0 < na_weight <= 1.0:
-            raise ConfigError(f"na_weight must be in (0, 1], got {na_weight}")
         weights = np.where(targets == 0, na_weight, 1.0)
         losses = mul(losses, Tensor(weights))
     return reduce_sum(losses)
@@ -466,11 +477,10 @@ def batch_losses(
 
 def predict_pairs(
     model: GpGnn, sentences: Sequence[Sentence], cache: SentenceCache | None = None
-) -> list[dict]:
+) -> list[PredictionRecord]:
     """Evaluation-mode probabilities for every ordered pair of every
-    sentence.  Returns one dict per pair with the sentence id, entity
-    indices/kb ids, the probability vector, and the gold relation."""
-    results: list[dict] = []
+    sentence, one record per pair in sentence and edge order."""
+    results: list[PredictionRecord] = []
     cache = cache if cache is not None else SentenceCache()
     with no_grad():
         matrices = transition_matrices(model, sentences, cache=cache)
@@ -480,14 +490,14 @@ def predict_pairs(
             labels = sentence.label_map()
             for k, (s, o) in enumerate(graph.edges):
                 results.append(
-                    {
-                        "sentence_id": sentence.id,
-                        "subject_idx": s,
-                        "object_idx": o,
-                        "subject_kb": sentence.entities[s].kb_id,
-                        "object_kb": sentence.entities[o].kb_id,
-                        "probs": probs[k].copy(),
-                        "gold": labels.get((s, o), NA_RELATION),
-                    }
+                    PredictionRecord(
+                        sentence_id=sentence.id,
+                        subject_idx=s,
+                        object_idx=o,
+                        probs=probs[k].copy(),
+                        gold=labels.get((s, o), NA_RELATION),
+                        subject_kb=sentence.entities[s].kb_id,
+                        object_kb=sentence.entities[o].kb_id,
+                    )
                 )
     return results

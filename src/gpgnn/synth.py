@@ -15,7 +15,7 @@ structure over all edges distinguishes them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -49,18 +49,44 @@ class SynthSpec:
     splits: tuple[float, float, float] = (0.8, 0.1, 0.1)
     composition: list[tuple[str, str, str]] | None = None
 
+    @classmethod
+    def from_dict(cls, obj, seed: int = 0) -> "SynthSpec":
+        """A checked spec from parsed JSON; ``seed`` applies when ``obj``
+        sets none.  Every problem is a CorpusError naming the field."""
+        if not isinstance(obj, dict):
+            raise CorpusError(f"a spec must be a JSON object, got {type(obj).__name__}")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise CorpusError(f"unknown spec fields: {unknown}")
+        spec = cls(**{"seed": seed, **obj})
+        spec.validate()
+        return spec
+
     def validate(self) -> None:
-        if self.n_relations < 1:
-            raise CorpusError("need at least one base relation")
-        if not 1 <= self.chains_per_sentence <= 3:
+        for name, low in (("n_entities", 1), ("n_relations", 1), ("n_sentences", 0), ("seed", 0),
+                          ("chains_per_sentence", 1)):
+            value = getattr(self, name)
+            if not _is_seq([value], 1, int) or value < low:
+                raise CorpusError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.chains_per_sentence > 3:
             raise CorpusError("chains_per_sentence must be 1..3 (entity cap is 9)")
         if self.n_entities < 3 * self.chains_per_sentence:
-            raise CorpusError("entity pool too small for the chains per sentence")
-        lo, hi = self.mid_tokens
-        if not 1 <= lo <= hi:
-            raise CorpusError(f"bad mid_tokens range {self.mid_tokens}")
-        if abs(sum(self.splits) - 1.0) > 1e-9 or any(f < 0 for f in self.splits):
-            raise CorpusError(f"splits must be nonnegative and sum to 1, got {self.splits}")
+            raise CorpusError("n_entities: entity pool too small for the chains per sentence")
+        if not (_is_seq(self.mid_tokens, 2, int) and 1 <= self.mid_tokens[0] <= self.mid_tokens[1]):
+            raise CorpusError(f"mid_tokens must be two integers 1 <= lo <= hi, got {self.mid_tokens!r}")
+        if not (_is_seq(self.splits, 3, (int, float)) and all(f >= 0 for f in self.splits)
+                and abs(sum(self.splits) - 1.0) <= 1e-9):
+            raise CorpusError(f"splits must be three nonnegative fractions summing to 1, got {self.splits!r}")
+        rules = self.composition
+        if rules is not None and not (isinstance(rules, (list, tuple))
+                                      and all(_is_seq(r, 3, str) for r in rules)):
+            raise CorpusError("composition must be a list of [premise1, premise2, implied] name triples")
+
+
+def _is_seq(value, length: int, kind) -> bool:
+    """A list or tuple of ``length`` items of type ``kind``, bools excluded."""
+    return isinstance(value, (list, tuple)) and len(value) == length and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in value)
 
 
 @dataclass

@@ -22,9 +22,10 @@ import numpy as np
 
 from .autodiff import backward, concat, reduce_sum, reshape, scale
 from .corpus import RelationVocab, Sentence, Vocabulary
-from .evaluation import records_from_pairs, sentence_metrics
+from .evaluation import sentence_metrics
 from .layers import EmbeddingTable, ParameterStore
-from .model import ConfigError, GpGnn, ModelDims, SentenceCache, batch_losses, predict_pairs
+from .model import (ConfigError, GpGnn, ModelDims, SentenceCache, batch_losses, check_int, is_number,
+                    predict_pairs)
 
 SUB_SEEDS = ("init", "shuffle", "dropout")
 
@@ -56,21 +57,19 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.layers < 1:
-            raise ConfigError(f"layers must be >= 1, got {self.layers}")
+        """Check the training fields here; ``model_dims`` checks the model's."""
         if self.adjacency not in ("untied", "tied"):
             raise ConfigError(f"adjacency must be 'untied' or 'tied', got {self.adjacency!r}")
-        if self.d_n is not None and (self.d_n < 2 or self.d_n % 2 != 0):
-            raise ConfigError(f"d_n must be a positive even integer, got {self.d_n}")
-        if not 0.0 < self.na_weight <= 1.0:
-            raise ConfigError(f"na_weight must be in (0, 1], got {self.na_weight}")
+        for name, low in (("batch_size", 1), ("epochs", 0), ("patience", 0), ("seed", 0)):
+            check_int(name, getattr(self, name), low)
+        if not (is_number(self.na_weight) and 0.0 < self.na_weight <= 1.0):
+            raise ConfigError(f"na_weight must be a number in (0, 1], got {self.na_weight!r}")
         # clip_norm 0 means no clipping
         for name in ("learning_rate", "clip_norm"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+            if not (is_number(value) and math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
-        if self.batch_size < 1 or self.epochs < 0 or self.patience < 0:
-            raise ConfigError("batch_size must be >= 1 and epochs/patience >= 0")
+        self.model_dims()
 
     def resolved_d_n(self) -> int:
         if self.d_n is not None:
@@ -94,6 +93,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(obj).__name__}")
         # configs written before the serial-only ``workers`` knob was removed
         # hold "workers": 1; that value meant what every run now does
         if "workers" in obj:
@@ -112,11 +113,6 @@ class TrainConfig:
     def load(cls, path) -> "TrainConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 def named_rngs(seed: int) -> dict[str, np.random.Generator]:
@@ -284,7 +280,9 @@ def run_training(
                 "acc": metrics["accuracy"], "macro_f1": metrics["macro_f1"],
             })
             best.epochs_run = epoch + 1
-            if metrics["macro_f1"] > best.best_macro_f1:
+            # the epoch that reaches the stop target is kept even without a macro-F1 gain
+            reached = stop_accuracy is not None and metrics["accuracy"] >= stop_accuracy
+            if metrics["macro_f1"] > best.best_macro_f1 or reached:
                 best.best_macro_f1 = metrics["macro_f1"]
                 best.best_accuracy = metrics["accuracy"]
                 best.best_epoch = epoch
@@ -293,13 +291,8 @@ def run_training(
                     model.store.save(ckpt_path)
             else:
                 stale += 1
-            if stop_accuracy is not None and metrics["accuracy"] >= stop_accuracy:
+            if reached:
                 best.reached_target = True
-                if ckpt_path is not None and best.best_epoch != epoch:
-                    model.store.save(ckpt_path)
-                    best.best_epoch = epoch
-                    best.best_macro_f1 = metrics["macro_f1"]
-                    best.best_accuracy = metrics["accuracy"]
                 break
             if stale > config.patience:
                 best.stopped_early = True
@@ -317,8 +310,7 @@ def run_training(
 def evaluate_split(model: GpGnn, sentences: Sequence[Sentence], cache: SentenceCache | None = None) -> dict:
     if not sentences:
         return {"accuracy": 0.0, "macro_f1": 0.0}
-    records = records_from_pairs(predict_pairs(model, sentences, cache=cache))
-    return sentence_metrics(records, model.relations)
+    return sentence_metrics(predict_pairs(model, sentences, cache=cache), model.relations)
 
 
 def build_model(

@@ -96,10 +96,11 @@ def lstm_step(p: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, T
     Accepts a single input vector (d,) with states (H,), or a batch of rows
     (B,d) with states (B,H); all rows step together.
     """
-    if x.shape[-1] != p.input_size:
-        raise ShapeError(f"lstm_step input width {x.shape} does not match params ({p.input_size})")
-    if h.shape != c.shape or h.shape[-1] != p.hidden_size:
-        raise ShapeError(f"lstm_step state shapes {h.shape}/{c.shape} do not match H={p.hidden_size}")
+    d, hd = p.w_i.shape
+    if x.shape[-1] != d:
+        raise ShapeError(f"lstm_step input width {x.shape} does not match params ({d})")
+    if h.shape != c.shape or h.shape[-1] != hd:
+        raise ShapeError(f"lstm_step state shapes {h.shape}/{c.shape} do not match H={hd}")
     i = sigmoid(_gate(x, h, p.w_i, p.u_i, p.b_i))
     f = sigmoid(_gate(x, h, p.w_f, p.u_f, p.b_f))
     o = sigmoid(_gate(x, h, p.w_o, p.u_o, p.b_o))
@@ -119,8 +120,8 @@ def bilstm_encode(fwd: LstmParams, bwd: LstmParams, seq: Tensor) -> Tensor:
     length, width = seq.shape
 
     def run(p: LstmParams, order) -> Tensor:
-        h = Tensor(np.zeros(p.hidden_size))
-        c = Tensor(np.zeros(p.hidden_size))
+        h = Tensor(np.zeros(p.b_i.shape[0]))
+        c = Tensor(np.zeros(p.b_i.shape[0]))
         for t in order:
             h, c = lstm_step(p, reshape(gather_rows(seq, [t]), (width,)), h, c)
         return h

@@ -203,6 +203,13 @@ def _hidden_size_30(run):
     (run / "model.json").write_text(json.dumps(obj))
 
 
+def _edit_model_json(change):
+    def edit(run):
+        obj = json.loads((run / "model.json").read_text())
+        (run / "model.json").write_text(json.dumps(change(obj)))
+    return edit
+
+
 def _cut_checkpoint(keep):
     def cut(run):
         path = run / "checkpoint.bin"
@@ -211,13 +218,19 @@ def _cut_checkpoint(keep):
     return cut
 
 
-@pytest.mark.parametrize("corrupt", [
-    _hidden_size_30,
-    _cut_checkpoint(lambda raw: 4),
-    _cut_checkpoint(lambda raw: len(raw) // 2),
-    _cut_checkpoint(lambda raw: 8 + int.from_bytes(raw[:8], "little") // 2),
-], ids=["model-json-hidden-size", "four-bytes", "half", "inside-header"])
-def test_checkpoint_load_errors_are_data_errors_naming_the_file(tmp_path, trained_run, corrupt, capsys):
+@pytest.mark.parametrize("corrupt, named", [
+    pytest.param(_hidden_size_30, "checkpoint.bin", id="model-json-hidden-size"),
+    pytest.param(_cut_checkpoint(lambda raw: 4), "checkpoint.bin", id="four-bytes"),
+    pytest.param(_cut_checkpoint(lambda raw: len(raw) // 2), "checkpoint.bin", id="half"),
+    pytest.param(_cut_checkpoint(lambda raw: 8 + int.from_bytes(raw[:8], "little") // 2), "checkpoint.bin",
+                 id="inside-header"),
+    pytest.param(_edit_model_json(lambda obj: {k: v for k, v in obj.items() if k != "config"}), "model.json",
+                 id="model-json-no-config"),
+    pytest.param(_edit_model_json(lambda obj: [obj]), "model.json", id="model-json-not-object"),
+    pytest.param(_edit_model_json(lambda obj: {**obj, "vocab": "abc"}), "model.json",
+                 id="model-json-vocab-not-list"),
+])
+def test_checkpoint_load_errors_are_data_errors_naming_the_file(tmp_path, trained_run, corrupt, named, capsys):
     data, run = trained_run
     bad = tmp_path / "run"
     shutil.copytree(run, bad)
@@ -225,4 +238,44 @@ def test_checkpoint_load_errors_are_data_errors_naming_the_file(tmp_path, traine
     capsys.readouterr()
     assert main(["eval", "--model-dir", str(bad), "--data", str(data / "test.jsonl"),
                  "--out", str(tmp_path / "eval")]) == EXIT_DATA
-    assert str(bad / "checkpoint.bin") in capsys.readouterr().err
+    assert str(bad / named) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, flags, code, named", [
+    pytest.param({"bogus": 1}, [], EXIT_DATA, "bogus", id="spec-unknown-field"),
+    pytest.param({"mid_tokens": 5}, [], EXIT_DATA, "mid_tokens", id="spec-mid-tokens-int"),
+    pytest.param({"n_relations": "3"}, [], EXIT_DATA, "n_relations", id="spec-relations-str"),
+    pytest.param([], [], EXIT_DATA, "object", id="spec-not-object"),
+    pytest.param({"n_sentences": -3}, [], EXIT_DATA, "n_sentences", id="spec-negative-sentences"),
+    pytest.param(None, ["--mid-tokens", "1,x"], EXIT_USAGE, "--mid-tokens", id="flag-mid-tokens"),
+    pytest.param(None, ["--sentences", "-3"], EXIT_DATA, "n_sentences", id="flag-negative-sentences"),
+])
+def test_bad_synth_input_fails_cleanly(tmp_path, capsys, spec, flags, code, named):
+    argv = ["synth", "--out", str(tmp_path / "data")] + flags
+    spec_path = tmp_path / "spec.json"
+    if spec is not None:
+        spec_path.write_text(json.dumps(spec))
+        argv += ["--spec", str(spec_path)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert named in err
+    if spec is not None:
+        assert str(spec_path) in err
+    assert not (tmp_path / "data" / "train.jsonl").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "valid", "eval"])
+def test_empty_split_is_data_error_naming_the_file(tmp_path, trained_run, capsys, split):
+    data, run = trained_run
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    files = {"train": data / "train.jsonl", "valid": data / "valid.jsonl", split: empty}
+    if split == "eval":
+        argv = ["eval", "--model-dir", str(run), "--data", str(empty), "--out", str(tmp_path / "eval")]
+    else:
+        argv = ["train", "--train", str(files["train"]), "--valid", str(files["valid"]),
+                "--relations", str(data / "relations.json"), "--config", str(write_config(tmp_path)),
+                "--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert f"{empty}: no sentence left after normalization" in capsys.readouterr().err

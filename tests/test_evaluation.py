@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,6 @@ from gpgnn.evaluation import (
     pr_curve_points,
     precision_at_k_percent,
     rank_facts,
-    read_predictions,
-    records_from_pairs,
     score_bags,
     sentence_metrics,
     write_pr_csv,
@@ -261,19 +261,10 @@ def test_metrics_report_shape_and_decisions():
 def test_predictions_roundtrip(tmp_path):
     records = [rec("A", "B"), rec("NA", "NA", skb=None, okb=None)]
     path = tmp_path / "preds.jsonl"
-    write_predictions(path, records)
-    back = read_predictions(path)
+    assert write_predictions(path, records) == 2
+    back = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(back) == 2
-    assert back[0].gold == "A"
-    np.testing.assert_allclose(back[0].probs, records[0].probs)
-    assert back[1].subject_kb is None
-
-
-def test_records_from_pairs_adapter():
-    pairs = [{
-        "sentence_id": "s", "subject_idx": 0, "object_idx": 1,
-        "probs": [0.5, 0.5, 0.0], "gold": "A", "subject_kb": "x", "object_kb": "y",
-    }]
-    records = records_from_pairs(pairs)
-    assert records[0].subject_kb == "x"
-    assert records[0].predicted_index() in (0, 1)
+    assert back[0]["gold"] == "A"
+    assert back[0]["subject_kb"] == "s1"
+    np.testing.assert_array_equal(back[0]["probs"], records[0].probs)
+    assert "subject_kb" not in back[1]

@@ -55,7 +55,7 @@ def test_lookup_gradient_sparsity_matches_finite_differences(rng):
     table = EmbeddingTable.create(6, 4, rng)
 
     def f(w):
-        return ad.reduce_sum(ad.gather_rows(w, [3], frozen_rows=(0,)))
+        return ad.reduce_sum(ad.gather_rows(w, [3]))
 
     report = ad.grad_check(f, table.weights)
     assert report.passed

@@ -16,7 +16,6 @@ from gpgnn.model import (
     edge_markers,
     encode_edge_rows,
     flag_states,
-    flag_vectors,
     predict_pairs,
     propagate_layer,
     sentence_statics,
@@ -28,6 +27,7 @@ from conftest import (
     TOY_RELATIONS,
     make_sentence,
     three_entity_sentence,
+    tiny_dims,
     tiny_model,
     two_entity_sentence,
 )
@@ -204,9 +204,9 @@ def test_flag_initialization_d4():
 
 def test_odd_d_n_rejected():
     with pytest.raises(ConfigError, match="even"):
-        flag_states(2, 3, [(0, 1)])
-    with pytest.raises(ConfigError):
-        flag_vectors(0)
+        tiny_dims(d_n=3)
+    with pytest.raises(ConfigError, match="d_n"):
+        tiny_dims(d_n=0)
 
 
 def test_identity_matrices_swap_flags():
@@ -443,7 +443,7 @@ def test_batched_path_matches_per_pair_reference(layers, tied):
     reference_probs = np.concatenate([probs for probs, _losses, _targets in expected])
     assert len(predicted) == len(reference_probs)
     np.testing.assert_allclose(
-        np.stack([p["probs"] for p in predicted]), reference_probs, rtol=0, atol=1e-12
+        np.stack([p.probs for p in predicted]), reference_probs, rtol=0, atol=1e-12
     )
 
 

@@ -1,10 +1,16 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gpgnn import training
 from gpgnn.autodiff import Tensor, backward, mul, reduce_sum, scale
 from gpgnn.cli import EXIT_DATA, main
 from gpgnn.corpus import Vocabulary, normalize_dataset
-from gpgnn.layers import EmbeddingTable, ParameterStore
+from gpgnn.layers import ParameterStore
 from gpgnn.model import ConfigError
 from gpgnn.synth import SynthSpec, synthesize_multihop_corpus
 from gpgnn.training import (
@@ -15,7 +21,6 @@ from gpgnn.training import (
     build_model,
     clip_gradients,
     evaluate_split,
-    named_rngs,
     run_training,
 )
 
@@ -79,18 +84,47 @@ def test_config_validation(tmp_path, capsys):
         TrainConfig(**{field: 0.0})  # lr 0 freezes the weights; clip_norm 0 turns clipping off
 
     path = tmp_path / "config.json"
-    for field in ("learning_rate", "clip_norm"):
-        path.write_text(f'{{"{field}": NaN}}')
+    bad_fields = [
+        ("learning_rate", float("nan")), ("clip_norm", float("nan")),
+        ("activation", "gelu"), ("hidden_size", 0), ("word_dim", -1), ("layers", "2"),
+        ("na_weight", "x"), ("batch_size", 2.5), ("seed", -1), ("epochs", True),
+    ]
+    for field, bad in bad_fields:
+        path.write_text(json.dumps({field: bad}))
+        capsys.readouterr()
         code = main(["train", "--train", "t.jsonl", "--valid", "v.jsonl", "--relations", "r.json",
                      "--config", str(path), "--out", str(tmp_path / "run")])
-        assert code == EXIT_DATA
+        assert code == EXIT_DATA, field
         assert field in capsys.readouterr().err
+
+
+CONFIG_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)] + ["workers"]
+CONFIG_VALUES = st.one_of(
+    st.integers(-3, 300),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 3), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(CONFIG_FIELDS), CONFIG_VALUES))
+def test_config_fuzz_loads_or_raises_config_error(obj):
+    # no model is built from the drawn values: a drawn hidden_size of 300
+    # would allocate a large model for nothing
+    try:
+        cfg = TrainConfig.from_dict(obj)
+    except ConfigError:
+        return
+    assert isinstance(cfg, TrainConfig)
 
 
 def test_config_json_roundtrip(tmp_path):
     cfg = tiny_config(na_weight=0.5, adjacency="tied")
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     assert TrainConfig.load(path) == cfg
 
 
@@ -236,6 +270,25 @@ def test_stop_accuracy_short_circuits():
     assert result.epochs_run == 1
 
 
+def test_stop_target_epoch_is_best_with_and_without_out_dir(tmp_path, monkeypatch):
+    # epoch 1 reaches the stop accuracy while its macro-F1 falls: it is the
+    # run's best epoch whether or not a checkpoint is written
+    train, valid, relations = tiny_synth()
+    cfg = tiny_config(epochs=5)
+
+    def run(out_dir):
+        scores = iter([{"accuracy": 0.5, "macro_f1": 0.5}, {"accuracy": 0.95, "macro_f1": 0.4}])
+        monkeypatch.setattr(training, "evaluate_split", lambda *a, **kw: next(scores))
+        model = build_model(cfg, Vocabulary.build(train), relations)
+        result = run_training(cfg, train, valid, model, out_dir=out_dir, stop_accuracy=0.9)
+        return dataclasses.replace(result, checkpoint_path=None, log_path=None)
+
+    without = run(None)
+    assert without == run(tmp_path / "run")
+    assert (without.best_epoch, without.best_macro_f1, without.best_accuracy) == (1, 0.4, 0.95)
+    assert without.reached_target and without.epochs_run == 2
+
+
 def test_non_finite_loss_aborts_with_sentence_id():
     train, valid, relations = tiny_synth()
     cfg = tiny_config(epochs=1)
@@ -269,16 +322,3 @@ def test_padding_row_survives_training():
     model = build_model(cfg, Vocabulary.build(train), relations)
     run_training(cfg, train, valid, model)
     np.testing.assert_array_equal(model.word_table.weights.data[0], np.zeros(cfg.word_dim))
-
-
-def test_frozen_word_table_is_never_modified():
-    train, valid, relations = tiny_synth()
-    cfg = tiny_config(epochs=1)
-    vocab = Vocabulary.build(train)
-    table = EmbeddingTable.create(len(vocab), cfg.word_dim, named_rngs(0)["init"], trainable=False)
-    table.weights.requires_grad = False
-    before = table.weights.data.copy()
-    model = build_model(cfg, vocab, relations, word_table=table)
-    assert "word_embedding.weights" not in model.store
-    run_training(cfg, train, valid, model)
-    np.testing.assert_array_equal(table.weights.data, before)

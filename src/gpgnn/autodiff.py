@@ -128,25 +128,13 @@ def _result(data: np.ndarray, inputs: tuple[Tensor, ...], rule: Callable) -> Ten
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.  2-d x 2-d is the (m,k)x(k,n)->(m,n) contract; a 1-d
-    operand is treated as a row (left) or column (right) vector and the unit
-    axis is squeezed from the result."""
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ShapeError(f"matmul needs 1-d or 2-d operands, got {a.shape} x {b.shape}")
-    ka = a.shape[-1]
-    kb = b.shape[0]
-    if ka != kb:
+    """Matrix product of 2-d operands: (m,k) x (k,n) -> (m,n)."""
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} x {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    a2 = a.data if a.ndim == 2 else a.data[None, :]
-    b2 = b.data if b.ndim == 2 else b.data[:, None]
-    out2 = a2 @ b2
-
-    def rule(g: np.ndarray):
-        g2 = g.reshape(out2.shape)
-        return (g2 @ b2.T).reshape(a.shape), (a2.T @ g2).reshape(b.shape)
-
-    # a vector operand contributes no axis to the result
-    return _result(out2.reshape(a.shape[:-1] + b.shape[1:]), (a, b), rule)
+    ad, bd = a.data, b.data
+    return _result(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:

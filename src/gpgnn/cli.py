@@ -4,7 +4,7 @@ reproducible runs.
 Every command writes a manifest next to its outputs recording the command,
 config, seed and sub-seed names, library versions, and input file hashes.
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure (non-finite
-loss or a failed gradient check).
+loss, a non-finite gradient-check probe, or a failed gradient check).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -70,7 +71,7 @@ def main(argv=None) -> int:
     except (CorpusError, EvaluationError, ConfigError, CheckpointError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except TrainingError as exc:
+    except (TrainingError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
@@ -153,8 +154,8 @@ def _parse_splits(text: str) -> tuple[float, float, float]:
         parts = tuple(float(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"bad --splits value {text!r}") from None
-    if len(parts) != 3 or any(p < 0 for p in parts) or abs(sum(parts) - 1.0) > 1e-9:
-        raise UsageError(f"--splits needs three nonnegative fractions summing to 1, got {text!r}")
+    if len(parts) != 3 or not all(math.isfinite(p) and p >= 0 for p in parts) or abs(sum(parts) - 1.0) > 1e-9:
+        raise UsageError(f"--splits needs three finite nonnegative fractions summing to 1, got {text!r}")
     return parts
 
 
@@ -194,6 +195,7 @@ def _write_manifest(out_dir: Path, command: str, argv, seed, inputs, outputs, co
 
 
 def cmd_preprocess(args, argv) -> int:
+    fr = _parse_splits(args.splits)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     relations = RelationVocab.from_files(args.relations, args.inverse_map)
@@ -202,7 +204,6 @@ def cmd_preprocess(args, argv) -> int:
     normalized, skips = normalize_dataset(parsed, relations)
     rng = np.random.default_rng(args.seed)
     order = rng.permutation(len(normalized))
-    fr = _parse_splits(args.splits)
     n_train = int(round(len(normalized) * fr[0]))
     n_valid = int(round(len(normalized) * fr[1]))
     splits = {
@@ -408,6 +409,9 @@ def cmd_predict(args, argv) -> int:
 
 
 def cmd_gradcheck(args, argv) -> int:
+    for flag, value in (("--step", args.step), ("--tol", args.tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise UsageError(f"{flag} must be a finite number > 0, got {value!r}")
     check = full_model_gradcheck(seed=args.seed, layers=args.layers, step=args.step, tol=args.tol)
     print(
         f"gradcheck: {check.n_parameters} parameters, {check.n_coordinates} coordinates, "

@@ -288,16 +288,17 @@ def normalize_sentence(s: Sentence, vocab: RelationVocab) -> Sentence:
         if rev_key not in labels:
             labels[rev_key] = RelationTriple(rev_key[0], rev_key[1], inv, PROVENANCE_REVERSED)
 
-    triples: list[RelationTriple] = []
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            t = labels.get((i, j))
-            if t is None:
-                t = RelationTriple(i, j, NA_RELATION, PROVENANCE_NA)
-            triples.append(t)
+    triples = [labels.get((i, j)) or RelationTriple(i, j, NA_RELATION, PROVENANCE_NA)
+               for i, j in ordered_pairs(m)]
     return Sentence(s.id, list(s.tokens), entities, triples)
+
+
+def ordered_pairs(m: int) -> list[tuple[int, int]]:
+    """Every ordered pair (i, j) of m entities with i != j, in lexicographic
+    order: m-1 consecutive pairs per first entity i.  This is the one edge
+    order, shared by a normalized sentence's triples, the entity graph and
+    the rows of every stack of transition matrices."""
+    return [(i, j) for i in range(m) for j in range(m) if j != i]
 
 
 def _merge_identical_spans(entities: Sequence[EntityMention]) -> tuple[list[EntityMention], list[int]]:

@@ -9,8 +9,11 @@ keeps activations in a range where the finite-difference oracle is sharp.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,7 +22,6 @@ from .autodiff import (
     ShapeError,
     Tensor,
     activation_fn,
-    add,
     add_bias,
     concat,
     dropout,
@@ -207,16 +209,15 @@ def mlp_forward(
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> Tensor:
-    """Apply the MLP to a vector (d,) or a batch of rows (B,d).  Dropout, when
-    active, hits hidden activations only, never the raw output layer."""
-    if x.shape[-1] != p.input_size:
-        raise ShapeError(f"mlp_forward input width {x.shape} does not match params ({p.input_size})")
+    """Apply the MLP to a batch of rows (B,d).  Dropout, when active, hits
+    hidden activations only, never the raw output layer."""
+    if x.ndim != 2 or x.shape[1] != p.input_size:
+        raise ShapeError(f"mlp_forward needs (B, {p.input_size}) rows, got {x.shape}")
     act = activation_fn(p.activation)
     out = x
     last = len(p.weights) - 1
     for k, (w, b) in enumerate(zip(p.weights, p.biases)):
-        z = matmul(out, w)
-        out = add(z, b) if z.ndim == 1 else add_bias(z, b)
+        out = add_bias(matmul(out, w), b)
         if k != last:
             out = act(out)
             out = dropout(out, drop_ratio, rng, training)
@@ -276,22 +277,30 @@ class ParameterStore:
 
 def save_checkpoint(path, tensors: dict[str, Tensor]) -> None:
     """Write a name-sorted flat binary of little-endian float64 values behind
-    a length-prefixed JSON header mapping name -> shape and byte offset."""
+    a length-prefixed JSON header mapping name -> shape and byte offset.
+
+    The bytes go to a temporary file beside ``path`` that then replaces it,
+    so a write that fails leaves any previous checkpoint as it was."""
+    names = sorted(tensors)
     entries: dict[str, dict] = {}
-    blobs: list[bytes] = []
     offset = 0
-    for name in sorted(tensors):
-        t = tensors[name]
-        raw = np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-        entries[name] = {"shape": list(t.shape), "offset": offset}
-        blobs.append(raw)
-        offset += len(raw)
+    for name in names:
+        shape = tensors[name].shape
+        entries[name] = {"shape": list(shape), "offset": offset}
+        offset += 8 * math.prod(shape)
     header = json.dumps({"version": CHECKPOINT_VERSION, "tensors": entries}, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for raw in blobs:
-            fh.write(raw)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for name in names:
+                fh.write(np.ascontiguousarray(tensors[name].data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

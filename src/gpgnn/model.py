@@ -11,10 +11,17 @@ encoder takes every context of a batch's equal-length sentences at once,
 and propagation takes every target pair of a sentence at once.  The
 per-pair, per-message loops that define the semantics live in
 ``tests/reference.py``, and the tests pin this module to them.
+
+A sentence's graph structure (its m, edges and marker rows) depends only on
+its entity spans, so ``batch_losses`` and ``predict_pairs`` build it afresh
+for each sentence on every call; nothing is kept between calls.  The edge
+order is ``corpus.ordered_pairs``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -44,6 +51,7 @@ from .corpus import (
     Sentence,
     SkipSentence,
     Vocabulary,
+    ordered_pairs,
 )
 from .evaluation import PredictionRecord
 from .layers import (
@@ -56,7 +64,6 @@ from .layers import (
     mlp_forward,
 )
 
-MARKER_NEITHER = 0
 MARKER_FIRST = 1
 MARKER_SECOND = 2
 
@@ -84,33 +91,27 @@ def is_number(value) -> bool:
 class EntityGraph:
     sentence: Sentence
     m: int
-    edges: list[tuple[int, int]]  # all ordered pairs (i, j), i != j, lexicographic
+    edges: list[tuple[int, int]]  # corpus.ordered_pairs(m)
+    markers: np.ndarray  # (E, l): 1 in edge k's first entity, 2 in its second, 0 elsewhere
 
 
 def build_entity_graph(sentence: Sentence) -> EntityGraph:
-    """Enumerate all ordered non-self entity pairs in deterministic
-    lexicographic order.  Fewer than 2 entities is a skip signal."""
+    """The fully connected graph over a sentence's entities, with each
+    edge's token markers.  Fewer than 2 entities is a skip signal;
+    overlapping entity spans are a CorpusError naming the sentence."""
     m = sentence.entity_count
     if m < 2:
         raise SkipSentence("too_few_entities")
     if m > MAX_ENTITIES:
         raise CorpusError(f"sentence {sentence.id}: {m} entities; normalization should have capped at {MAX_ENTITIES}")
-    edges = [(i, j) for i in range(m) for j in range(m) if j != i]
-    return EntityGraph(sentence, m, edges)
-
-
-def edge_markers(sentence: Sentence, edge: tuple[int, int]) -> np.ndarray:
-    """Token markers for one ordered pair: 1 inside the first entity's span,
-    2 inside the second entity's span, 0 elsewhere."""
-    i, j = edge
-    marks = np.zeros(len(sentence.tokens), dtype=np.intp)
-    for t in sentence.entities[i].span():
-        marks[t] = MARKER_FIRST
-    for t in sentence.entities[j].span():
-        if marks[t] != MARKER_NEITHER:
-            raise CorpusError(f"sentence {sentence.id}: entity spans overlap; normalize upstream")
-        marks[t] = MARKER_SECOND
-    return marks
+    spans = np.zeros((m, len(sentence.tokens)), dtype=np.intp)
+    for k, e in enumerate(sentence.entities):
+        spans[k, e.start : e.end] = 1
+    if spans.sum(axis=0).max() > 1:
+        raise CorpusError(f"sentence {sentence.id}: entity spans overlap; normalize upstream")
+    edges = ordered_pairs(m)
+    first, second = np.array(edges, dtype=np.intp).T
+    return EntityGraph(sentence, m, edges, MARKER_FIRST * spans[first] + MARKER_SECOND * spans[second])
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +152,6 @@ class TransitionMatrices:
     in edge order.  With tied adjacency every layer holds the same stack."""
 
     stacks: list[Tensor]
-
-
-def sentence_statics(sentence: Sentence, graph: EntityGraph, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """Static per-sentence encoder inputs: token ids repeated per edge and
-    the per-edge marker rows, both (E, l)."""
-    ids = np.asarray(vocab.encode(sentence.tokens), dtype=np.intp)
-    word_rows = np.tile(ids, (len(graph.edges), 1))
-    marker_rows = np.stack([edge_markers(sentence, e) for e in graph.edges])
-    return word_rows, marker_rows
 
 
 def encode_edge_rows(
@@ -226,25 +218,30 @@ def flag_states(
     return Tensor(h0), subj_rows, obj_rows
 
 
-def propagate_layer(
-    states: Tensor, matrices: Tensor, edges: Sequence[tuple[int, int]], activation: str
-) -> Tensor:
+@functools.cache
+def message_sources(m: int) -> np.ndarray:
+    """Source node j of each edge (i, j) of the m-entity graph, read-only."""
+    src = np.array([j for _i, j in ordered_pairs(m)], dtype=np.intp)
+    src.flags.writeable = False
+    return src
+
+
+def propagate_layer(states: Tensor, matrices: Tensor, activation: str) -> Tensor:
     """One message-passing step: h'_i = sum over j != i of act(A[i,j] @ h_j),
-    with the activation applied per message before summation.  ``states``
-    stacks independent blocks of m nodes, (blocks*m, d_n), and every block
-    propagates against the one (E, d_n, d_n) stack of the m-entity graph."""
-    e = len(edges)
-    if matrices.ndim != 3 or matrices.shape[0] != e:
-        raise ShapeError(f"expected ({e}, d, d) matrices, got {matrices.shape}")
-    # edges are grouped by target node, m-1 consecutive rows per target
-    m = edges[-1][0] + 1
+    with the activation applied per message before summation.  ``matrices``
+    is the (E, d_n, d_n) stack of an m-entity graph in edge order, so
+    E = m(m-1) gives m.  ``states`` stacks independent blocks of m nodes,
+    (blocks*m, d_n), and every block propagates against that one stack."""
+    e = matrices.shape[0] if matrices.ndim == 3 else 0
+    m = math.isqrt(e) + 1  # the m >= 1 with m(m-1) = e, if there is one
+    if e == 0 or m * (m - 1) != e:
+        raise ShapeError(f"expected an (m(m-1), d, d) stack of matrices for m >= 2, got {matrices.shape}")
     rows, d = states.shape
     if rows % m != 0:
         raise ShapeError(f"{rows} state rows do not split into blocks of {m} nodes")
     groups = rows // m
     act = activation_fn(activation)
-    src_base = np.fromiter((j for _i, j in edges), dtype=np.intp, count=e)
-    src = (np.arange(groups, dtype=np.intp)[:, None] * m + src_base[None, :]).reshape(-1)
+    src = (np.arange(groups, dtype=np.intp)[:, None] * m + message_sources(m)[None, :]).reshape(-1)
     gathered = reshape(gather_rows(states, src), (groups, e, d, 1))
     messages = act(bmm(matrices, gathered))
     grouped = reshape(messages, (groups * m, m - 1, d))
@@ -333,7 +330,7 @@ class GpGnn:
         states, subj_rows, obj_rows = flag_states(graph.m, self.dims.d_n, pairs)
         per_layer: list[Tensor] = []
         for n in range(self.dims.layers):
-            states = propagate_layer(states, matrices.stacks[n], graph.edges, self.dims.activation)
+            states = propagate_layer(states, matrices.stacks[n], self.dims.activation)
             per_layer.append(states)
         blocks = [
             mul(gather_rows(layer, subj_rows), gather_rows(layer, obj_rows)) for layer in per_layer
@@ -349,11 +346,10 @@ def _loss_from_matrices(
     training: bool,
     rng: np.random.Generator | None,
     na_weight: float,
-    cache: SentenceCache,
 ) -> Tensor:
     """Sum of the per-pair cross entropies over all ordered entity pairs of
     one sentence.  Every pair needs a gold label (NA counts)."""
-    targets = cache.targets(model.relations, graph)
+    targets = _gold_indices(model.relations, graph)
     logits = model.pair_logits(graph, matrices, graph.edges, training=training, rng=rng)
     losses = softmax_cross_entropy_rows(logits, targets)
     if na_weight != 1.0:
@@ -376,66 +372,26 @@ def _gold_indices(relations: RelationVocab, graph: EntityGraph) -> np.ndarray:
     return targets
 
 
-class SentenceCache:
-    """Per-run cache of static per-sentence arrays (graphs, encoder input
-    ids, gold class indices).  Keyed by sentence identity, so the caller must
-    keep the sentences alive for the cache's lifetime; one training or
-    evaluation run over a fixed dataset does."""
-
-    def __init__(self) -> None:
-        self._graphs: dict[int, EntityGraph] = {}
-        self._inputs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._targets: dict[int, np.ndarray] = {}
-
-    def graph(self, sentence: Sentence) -> EntityGraph:
-        got = self._graphs.get(id(sentence))
-        if got is None:
-            got = self._graphs[id(sentence)] = build_entity_graph(sentence)
-        return got
-
-    def encoder_inputs(self, sentence: Sentence, graph: EntityGraph, vocab: Vocabulary):
-        got = self._inputs.get(id(sentence))
-        if got is None:
-            got = self._inputs[id(sentence)] = sentence_statics(sentence, graph, vocab)
-        return got
-
-    def targets(self, relations: RelationVocab, graph: EntityGraph) -> np.ndarray:
-        got = self._targets.get(id(graph.sentence))
-        if got is None:
-            got = self._targets[id(graph.sentence)] = _gold_indices(relations, graph)
-        return got
-
-
 def transition_matrices(
     model: GpGnn,
-    sentences: Sequence[Sentence],
+    graphs: Sequence[EntityGraph],
     training: bool = False,
     rng: np.random.Generator | None = None,
-    cache: SentenceCache | None = None,
 ) -> list[TransitionMatrices]:
-    """Every sentence's transition matrices, in sentence order.  Sentences of
+    """Every sentence's transition matrices, in graph order.  Sentences of
     equal token length share one encoder run per layer; with tied adjacency
     the single encoder runs once and every layer shares its matrices."""
-    cache = cache if cache is not None else SentenceCache()
-    graphs = [cache.graph(s) for s in sentences]
     by_length: dict[int, list[int]] = {}
-    for idx, s in enumerate(sentences):
-        by_length.setdefault(len(s.tokens), []).append(idx)
+    for idx, graph in enumerate(graphs):
+        by_length.setdefault(graph.markers.shape[1], []).append(idx)
 
-    matrices: list[TransitionMatrices | None] = [None] * len(sentences)
+    matrices: list[TransitionMatrices | None] = [None] * len(graphs)
     d = model.dims.d_n
     for length in sorted(by_length):
         group = by_length[length]
-        words, marks, offsets = [], [], []
-        total = 0
-        for idx in group:
-            offsets.append(total)
-            w, mk = cache.encoder_inputs(sentences[idx], graphs[idx], model.vocab)
-            words.append(w)
-            marks.append(mk)
-            total += w.shape[0]
-        word_rows = np.concatenate(words, axis=0)
-        marker_rows = np.concatenate(marks, axis=0)
+        ids = [np.asarray(model.vocab.encode(graphs[idx].sentence.tokens), dtype=np.intp) for idx in group]
+        word_rows = np.concatenate([np.tile(row, (len(graphs[idx].edges), 1)) for idx, row in zip(group, ids)])
+        marker_rows = np.concatenate([graphs[idx].markers for idx in group])
         flat_layers = [
             encode_edge_rows(
                 enc, model.word_table, model.pos_table, word_rows, marker_rows, d,
@@ -443,12 +399,14 @@ def transition_matrices(
             )
             for enc in model.encoders
         ]
-        for idx, off in zip(group, offsets):
+        off = 0
+        for idx in group:
             n_edges = len(graphs[idx].edges)
             stacks = [
                 reshape(gather_rows(flat, np.arange(off, off + n_edges)), (n_edges, d, d))
                 for flat in flat_layers
             ]
+            off += n_edges
             if model.dims.tied:
                 stacks = stacks * model.dims.layers
             matrices[idx] = TransitionMatrices(stacks)
@@ -461,31 +419,24 @@ def batch_losses(
     training: bool = False,
     rng: np.random.Generator | None = None,
     na_weight: float = 1.0,
-    cache: SentenceCache | None = None,
 ) -> list[Tensor]:
     """Per-sentence loss scalars over a batch of sentences."""
-    cache = cache if cache is not None else SentenceCache()
-    matrices = transition_matrices(model, sentences, training, rng, cache)
+    graphs = [build_entity_graph(s) for s in sentences]
+    matrices = transition_matrices(model, graphs, training, rng)
     return [
-        _loss_from_matrices(
-            model, cache.graph(s), mats, training=training, rng=rng,
-            na_weight=na_weight, cache=cache,
-        )
-        for s, mats in zip(sentences, matrices)
+        _loss_from_matrices(model, graph, mats, training=training, rng=rng, na_weight=na_weight)
+        for graph, mats in zip(graphs, matrices)
     ]
 
 
-def predict_pairs(
-    model: GpGnn, sentences: Sequence[Sentence], cache: SentenceCache | None = None
-) -> list[PredictionRecord]:
+def predict_pairs(model: GpGnn, sentences: Sequence[Sentence]) -> list[PredictionRecord]:
     """Evaluation-mode probabilities for every ordered pair of every
     sentence, one record per pair in sentence and edge order."""
     results: list[PredictionRecord] = []
-    cache = cache if cache is not None else SentenceCache()
+    graphs = [build_entity_graph(s) for s in sentences]
     with no_grad():
-        matrices = transition_matrices(model, sentences, cache=cache)
-        for sentence, mats in zip(sentences, matrices):
-            graph = cache.graph(sentence)
+        matrices = transition_matrices(model, graphs)
+        for sentence, graph, mats in zip(sentences, graphs, matrices):
             probs = _softmax_values(model.pair_logits(graph, mats, graph.edges).data, axis=1)
             labels = sentence.label_map()
             for k, (s, o) in enumerate(graph.edges):

@@ -24,7 +24,7 @@ from .autodiff import backward, concat, reduce_sum, reshape, scale
 from .corpus import RelationVocab, Sentence, Vocabulary
 from .evaluation import sentence_metrics
 from .layers import EmbeddingTable, ParameterStore
-from .model import (ConfigError, GpGnn, ModelDims, SentenceCache, batch_losses, check_int, is_number,
+from .model import (ConfigError, GpGnn, ModelDims, batch_losses, check_int, is_number,
                     predict_pairs)
 
 SUB_SEEDS = ("init", "shuffle", "dropout")
@@ -241,7 +241,6 @@ def run_training(
           "sub_seeds": list(SUB_SEEDS), "train_sentences": len(train), "valid_sentences": len(valid)})
 
     opt = OptimizerState()
-    cache = SentenceCache()
     best = TrainResult(
         best_epoch=-1, best_macro_f1=-1.0, best_accuracy=0.0, epochs_run=0,
         stopped_early=False, reached_target=False,
@@ -255,10 +254,8 @@ def run_training(
             epoch_loss = 0.0
             for start in range(0, len(order), config.batch_size):
                 batch = [train[i] for i in order[start : start + config.batch_size]]
-                losses = batch_losses(
-                    model, batch, training=True, rng=rngs["dropout"],
-                    na_weight=config.na_weight, cache=cache,
-                )
+                losses = batch_losses(model, batch, training=True, rng=rngs["dropout"],
+                                      na_weight=config.na_weight)
                 for sentence, loss in zip(batch, losses):
                     if not np.isfinite(loss.data):
                         raise TrainingError(
@@ -274,7 +271,7 @@ def run_training(
             train_loss = epoch_loss / len(train)
             emit({"event": "epoch", "epoch": epoch, "split": "train", "loss": train_loss})
 
-            metrics = evaluate_split(model, valid, cache=cache)
+            metrics = evaluate_split(model, valid)
             emit({
                 "event": "epoch", "epoch": epoch, "split": "valid",
                 "acc": metrics["accuracy"], "macro_f1": metrics["macro_f1"],
@@ -307,10 +304,10 @@ def run_training(
     return best
 
 
-def evaluate_split(model: GpGnn, sentences: Sequence[Sentence], cache: SentenceCache | None = None) -> dict:
+def evaluate_split(model: GpGnn, sentences: Sequence[Sentence]) -> dict:
     if not sentences:
         return {"accuracy": 0.0, "macro_f1": 0.0}
-    return sentence_metrics(predict_pairs(model, sentences, cache=cache), model.relations)
+    return sentence_metrics(predict_pairs(model, sentences), model.relations)
 
 
 def build_model(

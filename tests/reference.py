@@ -32,15 +32,16 @@ from gpgnn.autodiff import (
     sigmoid,
     tanh,
 )
-from gpgnn.corpus import RelationVocab, Sentence, Vocabulary
+from gpgnn.corpus import CorpusError, RelationVocab, Sentence, Vocabulary
 from gpgnn.layers import EmbeddingTable, LstmParams, MlpParams, embedding_lookup, mlp_forward
 from gpgnn.model import (
+    MARKER_FIRST,
+    MARKER_SECOND,
     ConfigError,
     EntityGraph,
     GpGnn,
     TransitionMatrices,
     build_entity_graph,
-    edge_markers,
 )
 
 
@@ -59,6 +60,20 @@ def transition_matrix(matrices: TransitionMatrices, graph: EntityGraph, n: int, 
     stack = matrices.stacks[n]
     d = stack.shape[1]
     return reshape(gather_rows(stack, [edge_row(graph, i, j)]), (d, d))
+
+
+def edge_markers(sentence: Sentence, edge: tuple[int, int]) -> np.ndarray:
+    """Token markers for one ordered pair, one token at a time: 1 inside the
+    first entity's span, 2 inside the second entity's span, 0 elsewhere."""
+    i, j = edge
+    marks = np.zeros(len(sentence.tokens), dtype=np.intp)
+    for t in sentence.entities[i].span():
+        marks[t] = MARKER_FIRST
+    for t in sentence.entities[j].span():
+        if marks[t] != 0:
+            raise CorpusError(f"sentence {sentence.id}: entity spans overlap; normalize upstream")
+        marks[t] = MARKER_SECOND
+    return marks
 
 
 def encode_edge_context(
@@ -82,11 +97,19 @@ def encode_edge_context(
 # LSTM
 
 
+def _rows(v: Tensor) -> Tensor:
+    """A (d,) vector as a one-row (1, d) matrix; a matrix as it is."""
+    return reshape(v, (1, v.shape[0])) if v.ndim == 1 else v
+
+
 def _gate(x: Tensor, h: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
-    z = add(matmul(x, w), matmul(h, u))
-    if z.ndim == 1:
-        return add(z, b)
-    return add_bias(z, b)
+    z = add_bias(add(matmul(_rows(x), w), matmul(_rows(h), u)), b)
+    return reshape(z, (z.shape[1],)) if x.ndim == 1 else z
+
+
+def mlp_vector(p: MlpParams, x: Tensor) -> Tensor:
+    """``mlp_forward`` on one (d,) vector, run as a one-row batch."""
+    return reshape(mlp_forward(p, _rows(x)), (p.output_size,))
 
 
 def lstm_step(p: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
@@ -210,7 +233,7 @@ def classify_pair(rep: Tensor, head: MlpParams, relations: RelationVocab) -> np.
     """Probability distribution over all relations (NA included)."""
     if head.output_size != len(relations):
         raise ShapeError(f"classifier emits {head.output_size} logits for {len(relations)} relations")
-    return _softmax_values(mlp_forward(head, rep).data, axis=-1)
+    return _softmax_values(mlp_vector(head, rep).data, axis=-1)
 
 
 def neg_log_softmax(logits: np.ndarray, target: int) -> float:
@@ -235,7 +258,7 @@ def edge_matrices(model: GpGnn, graph: EntityGraph) -> list[list]:
         stack = []
         for edge in graph.edges:
             ctx = encode_edge_context(graph.sentence, edge, model.word_table, model.pos_table, model.vocab)
-            vec = mlp_forward(enc.mlp, bilstm_encode(enc.lstm_fwd, enc.lstm_bwd, ctx))
+            vec = mlp_vector(enc.mlp, bilstm_encode(enc.lstm_fwd, enc.lstm_bwd, ctx))
             stack.append(vec.data.reshape(d, d).tolist())
         layers.append(stack)
     return layers
@@ -256,6 +279,6 @@ def pair_outputs(model: GpGnn, sentence: Sentence) -> tuple[np.ndarray, np.ndarr
             rep = pair_representation(states, pair, dims.layers)
             target = model.relations.index(labels[pair])
             probs.append(classify_pair(rep, model.head, model.relations))
-            losses.append(neg_log_softmax(mlp_forward(model.head, rep).data, target))
+            losses.append(neg_log_softmax(mlp_vector(model.head, rep).data, target))
             targets.append(target)
     return np.array(probs), np.array(losses), np.array(targets)

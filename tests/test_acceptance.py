@@ -132,7 +132,7 @@ def test_criterion_2_propagation_matches_naive_loop():
         edges = [(i, j) for i in range(m) for j in range(m) if j != i]
         mats = rng.uniform(-1, 1, (len(edges), d_n, d_n))
         states = rng.uniform(-1, 1, (m, d_n))
-        fast = propagate_layer(Tensor(states), Tensor(mats), edges, activation).data
+        fast = propagate_layer(Tensor(states), Tensor(mats), activation).data
         slow = np.array(naive_propagate(states.tolist(), mats.tolist(), edges, activation))
         worst = max(worst, float(np.abs(fast - slow).max()))
     _report(2, worst < 1e-12, f"100 random instances, max |batched - naive| = {worst:.2e} < 1e-12")
@@ -148,10 +148,10 @@ def test_criterion_3_flag_semantics():
     graph = build_entity_graph(two_entity_sentence())
     states, _subj, _obj = flag_states(graph.m, 2, [(0, 1)])
     eye = Tensor(np.stack([np.eye(2), np.eye(2)]))
-    swapped = propagate_layer(states, eye, graph.edges, "relu").data
+    swapped = propagate_layer(states, eye, "relu").data
     exact_swap = swapped.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
-    zero = propagate_layer(states, Tensor(np.zeros((2, 2, 2))), graph.edges, "relu").data
+    zero = propagate_layer(states, Tensor(np.zeros((2, 2, 2))), "relu").data
     collapses = not zero.any()
     _report(3, exact_swap and collapses,
             f"identity matrices swap flags exactly ({swapped.tolist()}); zero matrices collapse to zero")

@@ -86,6 +86,22 @@ def test_preprocess_skips_oversized_sentence_and_counts_it(tmp_path):
     assert len(triples) == 2  # gold + reversed
 
 
+@pytest.mark.parametrize("splits", ["nan,0.5,0.5", "0.5,0.5,nan"])
+def test_preprocess_rejects_non_finite_splits_before_reading(tmp_path, capsys, splits):
+    relations = tmp_path / "relations.json"
+    relations.write_text(json.dumps(["NA", "part of"]))
+    corpus = tmp_path / "corpus.jsonl"
+    ok = make_sentence("ok", ["earth", "in", "space"], [(0, 1), (2, 3)], [(0, 1, "part of")])
+    corpus.write_text(ok.to_json() + "\n")
+    out = tmp_path / "pre"
+    # a missing input still reads as a usage error: --splits is checked first
+    for data in (corpus, tmp_path / "missing.jsonl"):
+        assert main(["preprocess", "--input", str(data), "--relations", str(relations),
+                     "--out", str(out), "--splits", splits]) == EXIT_USAGE
+        assert "--splits" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_train_eval_predict_roundtrip(tmp_path, synth_dir):
     cfg = write_config(tmp_path)
     run = tmp_path / "run"
@@ -142,6 +158,21 @@ def test_gradcheck_command(capsys):
     assert "max relative error" in out
     # an absurd tolerance forces the failure path
     assert main(["gradcheck", "--seed", "7", "--layers", "1", "--tol", "1e-18"]) == EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--step", "0"), ("--step", "nan"), ("--step", "-1e-5"), ("--step", "inf"), ("--tol", "0"), ("--tol", "nan"),
+])
+def test_gradcheck_step_and_tol_must_be_finite_and_positive(capsys, flag, value):
+    assert main(["gradcheck", "--layers", "1", f"{flag}={value}"]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+
+
+def test_gradcheck_non_finite_probe_is_numeric_failure(capsys):
+    # a step of 1e300 pushes the loss to a non-finite value at a probe point
+    with np.errstate(all="ignore"):
+        assert main(["gradcheck", "--layers", "1", "--step", "1e300"]) == EXIT_NUMERIC
+    assert "numeric failure: non-finite value at finite-difference probe" in capsys.readouterr().err
 
 
 def test_numeric_failure_exit_code_from_training(tmp_path, synth_dir):

@@ -20,7 +20,7 @@ from gpgnn.layers import (
     save_checkpoint,
 )
 
-from reference import bilstm_encode, lstm_step
+from reference import bilstm_encode, lstm_step, mlp_vector
 
 
 def zero_lstm(d, h):
@@ -263,7 +263,7 @@ def test_mlp_identity_weights_pass_through_nonnegative_input():
         biases=[Tensor(np.zeros(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)],
         activation="relu",
     )
-    x = np.array([0.5, 0.0, 2.0])
+    x = np.array([[0.5, 0.0, 2.0]])
     np.testing.assert_array_equal(mlp_forward(p, Tensor(x)).data, x)
 
 
@@ -274,12 +274,12 @@ def test_mlp_zero_weights_emit_bias():
         biases=[Tensor(b, requires_grad=True)],
         activation="relu",
     )
-    np.testing.assert_array_equal(mlp_forward(p, Tensor(np.ones(3))).data, b)
+    np.testing.assert_array_equal(mlp_forward(p, Tensor(np.ones((2, 3)))).data, [b, b])
 
 
 def test_mlp_matches_hand_composed_chain(rng):
     p = MlpParams.create([4, 5, 3], "tanh", rng)
-    x = rng.uniform(-1, 1, 4)
+    x = rng.uniform(-1, 1, (3, 4))
     hand = np.tanh(x @ p.weights[0].data + p.biases[0].data) @ p.weights[1].data + p.biases[1].data
     np.testing.assert_allclose(mlp_forward(p, Tensor(x)).data, hand, atol=1e-12)
 
@@ -287,12 +287,14 @@ def test_mlp_matches_hand_composed_chain(rng):
 def test_mlp_width_mismatch(rng):
     p = MlpParams.create([4, 3], "relu", rng)
     with pytest.raises(ShapeError):
-        mlp_forward(p, Tensor(np.zeros(5)))
+        mlp_forward(p, Tensor(np.zeros((1, 5))))
+    with pytest.raises(ShapeError, match=r"\(B, 4\) rows"):
+        mlp_forward(p, Tensor(np.zeros(4)))
 
 
 def test_mlp_gradients(rng):
     p = MlpParams.create([3, 4, 2], "tanh", rng)
-    x0 = rng.uniform(-1, 1, 3)
+    x0 = rng.uniform(-1, 1, (2, 3))
     reports = ad.grad_check_params(
         lambda: ad.reduce_sum(mlp_forward(p, Tensor(x0))), dict(p.named())
     )
@@ -307,7 +309,7 @@ def test_composed_bilstm_mlp_pipeline_grad_check(rng):
     seq0 = rng.uniform(-1, 1, (5, 3))
 
     def f(seq):
-        return ad.reduce_sum(mlp_forward(mlp, bilstm_encode(fwd, bwd, seq)))
+        return ad.reduce_sum(mlp_vector(mlp, bilstm_encode(fwd, bwd, seq)))
 
     report = ad.grad_check(f, Tensor(seq0), step=1e-5, tol=1e-4)
     assert report.passed, report.max_rel_error
@@ -370,6 +372,41 @@ def test_checkpoint_layout_is_name_sorted_and_versioned(tmp_path, rng):
     assert header["tensors"]["z"]["offset"] == 3 * 8  # 'a' comes first, 3 doubles
     body = np.frombuffer(raw[8 + hlen :], dtype="<f8")
     np.testing.assert_array_equal(body, [1.0, 1.0, 1.0, 7.0, 7.0])
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    """A write that dies partway (here, a disk that fills after 100 bytes)
+    leaves the previous checkpoint byte for byte, and no temporary file."""
+    import builtins
+    import errno
+
+    import gpgnn.layers
+
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, {"a": Tensor(np.full(3, 1.0))})
+    before = path.read_bytes()
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh, self.room = fh, 100
+
+        def write(self, data):
+            if len(data) > self.room:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.room -= len(data)
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(gpgnn.layers, "open", lambda *a, **kw: FullDisk(builtins.open(*a, **kw)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, {"a": Tensor(np.full(3, 2.0)), "b": Tensor(np.full(50, 2.0))})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
 
 def test_store_load_rejects_mismatches(tmp_path, rng):

@@ -13,15 +13,14 @@ from gpgnn.model import (
     ConfigError,
     batch_losses,
     build_entity_graph,
-    edge_markers,
     encode_edge_rows,
     flag_states,
     predict_pairs,
     propagate_layer,
-    sentence_statics,
     transition_matrices,
 )
-from gpgnn.corpus import RelationTriple, RelationVocab, Sentence, normalize_sentence
+from gpgnn.corpus import (EntityMention, RelationTriple, RelationVocab, Sentence, normalize_sentence,
+                          ordered_pairs)
 
 from conftest import (
     TOY_RELATIONS,
@@ -34,9 +33,11 @@ from conftest import (
 from reference import (
     bilstm_encode,
     classify_pair,
+    edge_markers,
     edge_row,
     encode_edge_context,
     initialize_node_states,
+    mlp_vector,
     naive_propagate,
     neg_log_softmax,
     pair_outputs,
@@ -78,18 +79,57 @@ def test_graph_entity_count_bounds():
 
 def test_edge_markers_three_way():
     s = three_entity_sentence()  # spans (0,1), (2,3), (5,6)
-    marks = edge_markers(s, (0, 1))
-    assert marks.tolist() == [1, 0, 2, 0, 0, 0]
-    marks = edge_markers(s, (1, 0))
-    assert marks.tolist() == [2, 0, 1, 0, 0, 0]
-    marks = edge_markers(s, (2, 0))
-    assert marks.tolist() == [2, 0, 0, 0, 0, 1]
+    graph = build_entity_graph(s)
+    assert graph.markers.shape == (6, 6)
+    assert graph.markers[edge_row(graph, 0, 1)].tolist() == [1, 0, 2, 0, 0, 0]
+    assert graph.markers[edge_row(graph, 1, 0)].tolist() == [2, 0, 1, 0, 0, 0]
+    assert graph.markers[edge_row(graph, 2, 0)].tolist() == [2, 0, 0, 0, 0, 1]
 
 
 def test_edge_markers_reject_overlap():
     s = make_sentence("ov", ["a", "b", "c"], [(0, 2), (1, 3)], [])
-    with pytest.raises(CorpusError, match="overlap"):
-        edge_markers(s, (0, 1))
+    with pytest.raises(CorpusError, match="sentence ov: entity spans overlap"):
+        build_entity_graph(s)
+
+
+@st.composite
+def spans_sentences(draw):
+    """A sentence of m = 2..9 entities with non-overlapping spans of 1-3
+    tokens, 0-2 tokens apart, listed in a random order."""
+    m = draw(st.integers(2, 9))
+    spans, end = [], 0
+    for _ in range(m):
+        start = end + draw(st.integers(0, 2))
+        end = start + draw(st.integers(1, 3))
+        spans.append((start, end))
+    length = end + draw(st.integers(0, 2))
+    spans = draw(st.permutations(spans))
+    entities = [EntityMention(a, b) for a, b in spans]
+    return Sentence(f"hyp-{m}", [f"t{k}" for k in range(length)], entities, [])
+
+
+@given(spans_sentences(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_graph_markers_match_per_token_loop(sentence, data):
+    """The graph's vectorized marker rows equal the per-token reference
+    loop, edge by edge; an overlap of any two spans is a CorpusError naming
+    the sentence in both."""
+    graph = build_entity_graph(sentence)
+    m = sentence.entity_count
+    assert graph.markers.shape == (m * (m - 1), len(sentence.tokens))
+    for k, edge in enumerate(ordered_pairs(m)):
+        np.testing.assert_array_equal(graph.markers[k], edge_markers(sentence, edge))
+
+    a, b = data.draw(st.permutations(range(m)))[:2]
+    hit = data.draw(st.sampled_from(list(sentence.entities[a].span())))
+    entities = list(sentence.entities)
+    entities[b] = EntityMention(hit, hit + 1)
+    overlapping = Sentence(sentence.id, sentence.tokens, entities, [])
+    with pytest.raises(CorpusError, match=f"sentence {sentence.id}: entity spans overlap"):
+        build_entity_graph(overlapping)
+    with pytest.raises(CorpusError, match=f"sentence {sentence.id}: entity spans overlap"):
+        for edge in ordered_pairs(m):
+            edge_markers(overlapping, edge)
 
 
 def test_edge_context_width_and_swap(rng):
@@ -110,7 +150,8 @@ def test_edge_context_requires_three_marker_rows(rng):
     s = two_entity_sentence()
     model = tiny_model([s])
     bad = EmbeddingTable.create(4, 2, rng, reserved=False)
-    words, marks = sentence_statics(s, build_entity_graph(s), model.vocab)
+    marks = build_entity_graph(s).markers
+    words = np.ones_like(marks)
     with pytest.raises(ConfigError, match="3 rows"):
         encode_edge_rows(model.encoders[0], model.word_table, bad, words, marks, model.dims.d_n)
 
@@ -119,8 +160,7 @@ def test_multi_token_mention_marks_whole_span():
     s = make_sentence(
         "mt", ["new", "york", "hosts", "acme", "corp"], [(0, 2), (3, 5)], [(0, 1, "likes")]
     )
-    marks = edge_markers(s, (0, 1))
-    assert marks.tolist() == [1, 1, 0, 2, 2]
+    assert build_entity_graph(s).markers[0].tolist() == [1, 1, 0, 2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +171,7 @@ def test_matrices_have_d_n_shape_per_edge():
     s = three_entity_sentence()
     model = tiny_model([s])
     graph = build_entity_graph(s)
-    (mats,) = transition_matrices(model, [s])
+    (mats,) = transition_matrices(model, [graph])
     assert len(mats.stacks) == 2
     for n in range(2):
         assert mats.stacks[n].shape == (6, 4, 4)
@@ -148,7 +188,7 @@ def test_zero_final_mlp_layer_gives_zero_matrices():
     for enc in model.encoders:
         enc.mlp.weights[-1].data[:] = 0.0
         enc.mlp.biases[-1].data[:] = 0.0
-    (mats,) = transition_matrices(model, [s])
+    (mats,) = transition_matrices(model, [build_entity_graph(s)])
     for stack in mats.stacks:
         np.testing.assert_array_equal(stack.data, 0.0)
 
@@ -156,26 +196,24 @@ def test_zero_final_mlp_layer_gives_zero_matrices():
 def test_untied_layers_differ_tied_layers_match():
     s = three_entity_sentence()
     untied = tiny_model([s], seed=9)
-    (mats,) = transition_matrices(untied, [s])
+    (mats,) = transition_matrices(untied, [build_entity_graph(s)])
     assert np.abs(mats.stacks[0].data - mats.stacks[1].data).max() > 1e-6
 
     tied = tiny_model([s], seed=9, tied=True)
-    (mats,) = transition_matrices(tied, [s])
+    (mats,) = transition_matrices(tied, [build_entity_graph(s)])
     np.testing.assert_array_equal(mats.stacks[0].data, mats.stacks[1].data)
 
 
 def test_generate_matches_contract_composition():
     """The batched generator equals encode -> bilstm -> mlp -> reshape per edge."""
-    from gpgnn.layers import mlp_forward
-
     s = three_entity_sentence()
     model = tiny_model([s])
     graph = build_entity_graph(s)
-    (mats,) = transition_matrices(model, [s])
+    (mats,) = transition_matrices(model, [graph])
     for k, edge in enumerate(graph.edges):
         ctx = encode_edge_context(s, edge, model.word_table, model.pos_table, model.vocab)
         enc = model.encoders[1]
-        vec = mlp_forward(enc.mlp, bilstm_encode(enc.lstm_fwd, enc.lstm_bwd, ctx))
+        vec = mlp_vector(enc.mlp, bilstm_encode(enc.lstm_fwd, enc.lstm_bwd, ctx))
         np.testing.assert_allclose(
             mats.stacks[1].data[k], vec.data.reshape(4, 4), atol=1e-12
         )
@@ -184,7 +222,8 @@ def test_generate_matches_contract_composition():
 def test_encoder_output_width_must_be_d_n_squared():
     s = two_entity_sentence()
     model = tiny_model([s])
-    words, marks = sentence_statics(s, build_entity_graph(s), model.vocab)
+    marks = build_entity_graph(s).markers
+    words = np.ones_like(marks)
     with pytest.raises(ConfigError, match="d_n"):
         encode_edge_rows(model.encoders[0], model.word_table, model.pos_table, words, marks, d_n=6)
 
@@ -213,7 +252,7 @@ def test_identity_matrices_swap_flags():
     graph = build_entity_graph(two_entity_sentence())
     states, _subj, _obj = flag_states(graph.m, 2, [(0, 1)])
     eye = Tensor(np.stack([np.eye(2), np.eye(2)]))
-    nxt = propagate_layer(states, eye, graph.edges, "relu")
+    nxt = propagate_layer(states, eye, "relu")
     np.testing.assert_array_equal(nxt.data[0], [0, 1])
     np.testing.assert_array_equal(nxt.data[1], [1, 0])
 
@@ -221,8 +260,17 @@ def test_identity_matrices_swap_flags():
 def test_zero_states_stay_zero_under_relu(rng):
     graph = build_entity_graph(three_entity_sentence())
     mats = Tensor(rng.uniform(-1, 1, (6, 4, 4)))
-    nxt = propagate_layer(Tensor(np.zeros((3, 4))), mats, graph.edges, "relu")
+    nxt = propagate_layer(Tensor(np.zeros((3, 4))), mats, "relu")
     np.testing.assert_array_equal(nxt.data, np.zeros((3, 4)))
+
+
+def test_propagation_needs_an_m_entity_stack_and_whole_blocks():
+    with pytest.raises(ad.ShapeError, match=r"m\(m-1\)"):
+        propagate_layer(Tensor(np.zeros((3, 2))), Tensor(np.zeros((5, 2, 2))), "relu")
+    with pytest.raises(ad.ShapeError, match=r"m\(m-1\)"):
+        propagate_layer(Tensor(np.zeros((1, 2))), Tensor(np.zeros((0, 2, 2))), "relu")
+    with pytest.raises(ad.ShapeError, match="blocks of 3"):
+        propagate_layer(Tensor(np.zeros((4, 2))), Tensor(np.zeros((6, 2, 2))), "relu")
 
 
 @given(st.integers(2, 5), st.sampled_from([2, 4, 8]), st.sampled_from(["relu", "tanh"]),
@@ -234,7 +282,7 @@ def test_propagation_matches_naive_loop(m, d_n, activation, blocks, seed):
     edges = [(i, j) for i in range(m) for j in range(m) if j != i]
     mats = r.uniform(-1, 1, (len(edges), d_n, d_n))
     states = r.uniform(-1, 1, (blocks * m, d_n))
-    fast = propagate_layer(Tensor(states), Tensor(mats), edges, activation).data
+    fast = propagate_layer(Tensor(states), Tensor(mats), activation).data
     for b in range(blocks):
         rows = slice(b * m, (b + 1) * m)
         slow = naive_propagate(states[rows].tolist(), mats.tolist(), edges, activation)
@@ -270,7 +318,7 @@ def test_tape_shape_of_encoder_and_propagation(rng):
     edges = [(i, j) for i in range(m) for j in range(m) if j != i]
     mats = Tensor(rng.uniform(-1, 1, (len(edges), d, d)), requires_grad=True)
     states = Tensor(rng.uniform(-1, 1, (blocks * m, d)), requires_grad=True)
-    out = propagate_layer(states, mats, edges, "tanh")
+    out = propagate_layer(states, mats, "tanh")
     assert all(t.size < blocks * len(edges) * d * d for t in _recorded(out))
 
     encoded = bilstm_encode_batch(fwd, bwd, rows, length=12, batch=5)
@@ -373,21 +421,19 @@ def test_sentence_loss_saturated_predictions_vanish():
 
 
 def test_sentence_loss_decomposes_into_pair_losses():
-    from gpgnn.layers import mlp_forward
-
     s = three_entity_sentence()
     model = tiny_model([s])
     total = batch_losses(model, [s])[0].item()
     graph = build_entity_graph(s)
     labels = s.label_map()
-    (mats,) = transition_matrices(model, [s])
+    (mats,) = transition_matrices(model, [graph])
     by_layer = [[m.tolist() for m in stack.data] for stack in mats.stacks]
     parts = 0.0
     for pair in graph.edges:
         states = run_propagation(graph, by_layer, pair, model.dims.d_n, model.dims.layers,
                                  model.dims.activation)
         rep = pair_representation(states, pair, model.dims.layers)
-        logits = mlp_forward(model.head, rep)
+        logits = mlp_vector(model.head, rep)
         parts += neg_log_softmax(logits.data, model.relations.index(labels[pair]))
     assert total == pytest.approx(parts, abs=1e-12)
 
@@ -456,7 +502,7 @@ def test_na_weight_downscales_na_pairs():
     graph = build_entity_graph(s3)
     labels = s3.label_map()
     na_share = 0.0
-    logits_all = model.pair_logits(graph, transition_matrices(model, [s3])[0], graph.edges)
+    logits_all = model.pair_logits(graph, transition_matrices(model, [graph])[0], graph.edges)
     for k, pair in enumerate(graph.edges):
         target = model.relations.index(labels[pair])
         part = neg_log_softmax(logits_all.data[k], target)

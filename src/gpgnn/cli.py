@@ -4,7 +4,8 @@ reproducible runs.
 Every command writes a manifest next to its outputs recording the command,
 config, seed and sub-seed names, library versions, and input file hashes.
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure (non-finite
-loss, a non-finite gradient-check probe, or a failed gradient check).
+loss, non-finite probabilities, a non-finite gradient-check probe, or a
+failed gradient check).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .corpus import (
 )
 from .evaluation import (
     EvaluationError,
+    POPULATIONS,
     metrics_report,
     write_metrics_report,
     write_pr_csv,
@@ -119,7 +121,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model-dir", required=True, help="a train output directory")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--population", choices=("predictions", "gold-size"), default="predictions")
+    p.add_argument("--population", choices=POPULATIONS, default="predictions")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="write pair predictions for a data file")
@@ -185,7 +187,7 @@ def _write_manifest(out_dir: Path, command: str, argv, seed, inputs, outputs, co
         manifest["config_sha256"] = hashlib.sha256(cfg_json.encode()).hexdigest()
     path = out_dir / "manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+        json.dump(manifest, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -196,6 +198,8 @@ def _write_manifest(out_dir: Path, command: str, argv, seed, inputs, outputs, co
 
 def cmd_preprocess(args, argv) -> int:
     fr = _parse_splits(args.splits)
+    if args.seed < 0:
+        raise CorpusError(f"seed must be an integer >= 0, got {args.seed!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     relations = RelationVocab.from_files(args.relations, args.inverse_map)

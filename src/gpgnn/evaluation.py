@@ -3,21 +3,27 @@
 Design choices surfaced in every report: macro-F1 averages over non-NA
 classes only (NA dominates after normalization and would mask the signal),
 accuracy includes NA pairs, and the P@K% ranking population defaults to all
-non-NA bag predictions scoring above their bag's NA score.  All metrics are
-deterministic: ties break on (bag key, relation index).
+non-NA bag predictions scoring above their bag's NA score.
+
+Everything is computed on arrays.  The records' probabilities are stacked
+into one (P, R) matrix and reduced to one max-one (n_bags, R) bag matrix,
+with bags in sorted key order; one ``np.lexsort`` ranks the candidates by
+score descending, ties broken on (bag key, relation index), so every metric
+is deterministic.  P@K% and the PR curve come from the cumulative count of
+gold candidates.  The writers format a whole file and write it at once, in
+the bytes ``json.dumps`` and ``csv.writer`` give.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import NA_RELATION, RelationVocab
+from .corpus import RelationVocab
 
 
 class EvaluationError(ValueError):
@@ -39,185 +45,185 @@ class PredictionRecord:
     def predicted_index(self) -> int:
         return int(np.argmax(self.probs))
 
-    def to_json(self) -> str:
-        obj = {
-            "sentence_id": self.sentence_id,
-            "subject_idx": self.subject_idx,
-            "object_idx": self.object_idx,
-            "probs": [float(p) for p in self.probs],
-            "gold": self.gold,
-        }
-        if self.subject_kb is not None:
-            obj["subject_kb"] = self.subject_kb
-        if self.object_kb is not None:
-            obj["object_kb"] = self.object_kb
-        return json.dumps(obj, ensure_ascii=False)
+
+def _probability_matrix(records: Sequence[PredictionRecord]) -> np.ndarray:
+    """The records' probabilities as one (P, R) float64 matrix.  Vectors of
+    unequal length, or a non-finite probability, are an EvaluationError."""
+    if not records:
+        return np.zeros((0, 0))
+    try:
+        probs = np.stack([r.probs for r in records]).astype(np.float64, copy=False)
+    except ValueError:
+        raise EvaluationError("records hold probability vectors of unequal length") from None
+    finite = np.isfinite(probs).all(axis=1)
+    if not finite.all():
+        bad = records[int(np.argmin(finite))]
+        raise EvaluationError(f"sentence {bad.sentence_id!r}: non-finite probability")
+    return probs
 
 
-def write_predictions(path, records: Iterable[PredictionRecord]) -> int:
-    n = 0
+# a string as json.dumps(s, ensure_ascii=False) writes it
+_quote = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def write_predictions(path, records: Sequence[PredictionRecord]) -> int:
+    """One JSON object per record and line, keys in the order sentence_id,
+    subject_idx, object_idx, probs, gold, then each kb id that is set."""
+    lines = []
+    for r, row in zip(records, _probability_matrix(records).tolist()):
+        kb = "" if r.subject_kb is None else f', "subject_kb": {_quote(r.subject_kb)}'
+        if r.object_kb is not None:
+            kb += f', "object_kb": {_quote(r.object_kb)}'
+        lines.append(
+            f'{{"sentence_id": {_quote(r.sentence_id)}, "subject_idx": {r.subject_idx}, '
+            f'"object_idx": {r.object_idx}, "probs": [{", ".join(map(repr, row))}], '
+            f'"gold": {_quote(r.gold)}{kb}}}\n'
+        )
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(r.to_json())
-            fh.write("\n")
-            n += 1
-    return n
+        fh.write("".join(lines))
+    return len(lines)
+
+
+def _scored(records: Sequence[PredictionRecord], relations: RelationVocab) -> tuple[np.ndarray, np.ndarray]:
+    """The (P, R) probability matrix and the (P,) gold relation indices."""
+    if not records:
+        raise EvaluationError("empty record set")
+    probs = _probability_matrix(records)
+    if probs.shape[1] != len(relations):
+        raise EvaluationError(f"{probs.shape[1]} scores per record for {len(relations)} relations")
+    index = dict(zip(relations.names, range(len(relations))))
+    gold = np.array([index.get(r.gold, -1) for r in records], dtype=np.intp)
+    if gold.min() < 0:
+        raise EvaluationError(f"gold relation {records[int(np.argmin(gold))].gold!r} absent from vocabulary")
+    return probs, gold
 
 
 # ---------------------------------------------------------------------------
 # sentence-level metrics
 
 
+def _sentence_scores(pred: np.ndarray, gold: np.ndarray, relations: RelationVocab) -> dict:
+    hit = pred == gold
+    n = len(relations)
+    tp = np.bincount(pred[hit], minlength=n)
+    fp = np.bincount(pred[~hit], minlength=n)
+    fn = np.bincount(gold[~hit], minlength=n)
+    # NA is index 0 and no class of its own; the mean runs in class-name order
+    classes = sorted((c for c in range(1, n) if tp[c] + fp[c] + fn[c]), key=relations.name)
+    f1s = 2.0 * tp[classes] / (2 * tp[classes] + fp[classes] + fn[classes])
+    macro = float(np.mean(f1s)) if classes else 0.0
+    return {"accuracy": int(np.count_nonzero(hit)) / len(pred), "macro_f1": macro}
+
+
 def sentence_metrics(records: Sequence[PredictionRecord], relations: RelationVocab) -> dict:
     """Accuracy over argmax predictions (NA included) and macro-F1 averaged
     over non-NA classes that occur in gold or predictions."""
-    if not records:
-        raise EvaluationError("empty record set")
-    correct = 0
-    tp: dict[str, int] = {}
-    fp: dict[str, int] = {}
-    fn: dict[str, int] = {}
-    for r in records:
-        pred = relations.name(r.predicted_index())
-        if r.gold not in relations:
-            raise EvaluationError(f"gold relation {r.gold!r} absent from vocabulary")
-        if pred == r.gold:
-            correct += 1
-            if pred != NA_RELATION:
-                tp[pred] = tp.get(pred, 0) + 1
-        else:
-            if pred != NA_RELATION:
-                fp[pred] = fp.get(pred, 0) + 1
-            if r.gold != NA_RELATION:
-                fn[r.gold] = fn.get(r.gold, 0) + 1
-    classes = sorted(set(tp) | set(fp) | set(fn))
-    f1s = []
-    for c in classes:
-        t, p, n = tp.get(c, 0), fp.get(c, 0), fn.get(c, 0)
-        denom = 2 * t + p + n
-        f1s.append(2.0 * t / denom if denom else 0.0)
-    macro = float(np.mean(f1s)) if f1s else 0.0
-    return {"accuracy": correct / len(records), "macro_f1": macro}
+    probs, gold = _scored(records, relations)
+    return _sentence_scores(probs.argmax(axis=1), gold, relations)
 
 
 # ---------------------------------------------------------------------------
-# bag-level aggregation
+# bag-level aggregation and ranking
 
 
 BagKey = tuple[str, str]
+POPULATIONS = ("predictions", "gold-size")
 
 
-def score_bags(records: Sequence[PredictionRecord]) -> dict[BagKey, np.ndarray]:
-    """Max-one aggregation: a bag's score for each relation is the maximum of
-    that relation's probability over the bag's sentences.  Records without
-    both kb ids are excluded (count them with ``missing_kb_count``)."""
-    bags: dict[BagKey, np.ndarray] = {}
-    for r in records:
-        if r.subject_kb is None or r.object_kb is None:
-            continue
-        key = (r.subject_kb, r.object_kb)
-        held = bags.get(key)
-        if held is None:
-            bags[key] = r.probs.copy()
-        else:
-            np.maximum(held, r.probs, out=held)
-    return bags
+@dataclass
+class Ranking:
+    """The bags of a record set and their ranked (bag, non-NA relation)
+    candidates.  A bag is the (subject kb id, object kb id) pair; records
+    without both ids are in no bag.  The candidate arrays are parallel and
+    in rank order: score descending, then bag key, then relation index."""
+
+    keys: list[BagKey]  # every bag, sorted; ``bag`` indexes into it
+    bag_scores: np.ndarray  # (n_bags, R): per relation, the max over the bag's records
+    n_gold: int  # distinct (bag, non-NA relation) gold facts
+    excluded: int  # records without both kb ids
+    bag: np.ndarray
+    relation: np.ndarray
+    score: np.ndarray
+    correct: np.ndarray  # bool: the candidate is a gold fact
+
+    def __len__(self) -> int:
+        return len(self.score)
 
 
-def missing_kb_count(records: Sequence[PredictionRecord]) -> int:
-    return sum(1 for r in records if r.subject_kb is None or r.object_kb is None)
-
-
-def gold_facts(records: Sequence[PredictionRecord]) -> set[tuple[str, str, str]]:
-    return {
-        (r.subject_kb, r.object_kb, r.gold)
-        for r in records
-        if r.gold != NA_RELATION and r.subject_kb is not None and r.object_kb is not None
-    }
-
-
-@dataclass(frozen=True)
-class RankedFact:
-    score: float
-    bag: BagKey
-    relation_index: int
-    relation: str
-    correct: bool
-
-
-def rank_facts(
-    bags: dict[BagKey, np.ndarray],
-    gold: set[tuple[str, str, str]],
-    relations: RelationVocab,
-    population: str = "predictions",
-) -> list[RankedFact]:
-    """All (bag, non-NA relation) candidates ranked by score descending with
-    deterministic tie-breaks.  Population "predictions" keeps candidates that
-    outscore their bag's NA probability; "gold-size" keeps everything (the
-    cutoff is applied later against the gold count)."""
-    if population not in ("predictions", "gold-size"):
+def _rank_bags(
+    records: Sequence[PredictionRecord], probs: np.ndarray, gold: np.ndarray, population: str
+) -> Ranking:
+    if population not in POPULATIONS:
         raise EvaluationError(f"unknown ranking population {population!r}")
-    facts: list[RankedFact] = []
-    for key in sorted(bags):
-        vec = bags[key]
-        if len(vec) != len(relations):
-            raise EvaluationError(f"bag {key}: {len(vec)} scores for {len(relations)} relations")
-        na_floor = vec[0]
-        for rel_idx in range(1, len(relations)):
-            if population == "predictions" and vec[rel_idx] <= na_floor:
-                continue
-            name = relations.name(rel_idx)
-            facts.append(
-                RankedFact(
-                    score=float(vec[rel_idx]),
-                    bag=key,
-                    relation_index=rel_idx,
-                    relation=name,
-                    correct=(key[0], key[1], name) in gold,
-                )
-            )
-    facts.sort(key=lambda f: (-f.score, f.bag, f.relation_index))
-    return facts
+    rows = [k for k, r in enumerate(records) if r.subject_kb is not None and r.object_kb is not None]
+    pairs = [(records[k].subject_kb, records[k].object_kb) for k in rows]
+    keys = sorted(set(pairs))
+    index = {key: b for b, key in enumerate(keys)}
+    bag_of = np.array([index[p] for p in pairs], dtype=np.intp)
+    rows = np.array(rows, dtype=np.intp)
+    scores = np.full((len(keys), probs.shape[1]), -np.inf)
+    np.maximum.at(scores, bag_of, probs[rows])
+    facts = np.zeros(scores.shape, dtype=bool)
+    facts[bag_of, gold[rows]] = True
+    facts[:, 0] = False  # NA is never a fact
+    if population == "predictions":
+        bag, relation = np.nonzero(scores[:, 1:] > scores[:, :1])
+    else:
+        bag, relation = np.nonzero(np.ones_like(facts[:, 1:]))
+    relation += 1
+    score = scores[bag, relation]
+    order = np.lexsort((relation, bag, -score))
+    bag, relation = bag[order], relation[order]
+    return Ranking(keys, scores, int(np.count_nonzero(facts)), len(records) - len(rows),
+                   bag, relation, score[order], facts[bag, relation])
 
 
-def precision_at_k_percent(
-    ranked: Sequence[RankedFact], k: float, total: int | None = None
-) -> float:
+def rank_bags(
+    records: Sequence[PredictionRecord], relations: RelationVocab, population: str = "predictions"
+) -> Ranking:
+    """Max-one bag scores and the ranked candidates.  Population
+    "predictions" keeps candidates that outscore their bag's NA score;
+    "gold-size" keeps every candidate (P@K% then cuts against the gold
+    count)."""
+    return _rank_bags(records, *_scored(records, relations), population)
+
+
+def precision_at_k_percent(ranked: Ranking, k: float, total: int | None = None) -> float:
     """Precision among the top ceil(k% of the ranked population); ``total``
     overrides the population size (the gold-size variant)."""
     if not 0.0 < k <= 100.0:
         raise EvaluationError(f"k must be in (0, 100], got {k}")
-    if not ranked:
+    if not len(ranked):
         raise EvaluationError("empty ranking")
     base = total if total is not None else len(ranked)
     top = min(len(ranked), max(1, math.ceil(k / 100.0 * base)))
-    hits = sum(1 for f in ranked[:top] if f.correct)
-    return hits / top
+    return int(np.count_nonzero(ranked.correct[:top])) / top
 
 
-def pr_curve_points(
-    ranked: Sequence[RankedFact], n_gold: int
-) -> list[tuple[float, float]]:
-    """One (recall, precision) point per rank; recall is non-decreasing."""
+def pr_curve_points(ranked: Ranking, n_gold: int) -> np.ndarray:
+    """One (recall, precision) row per rank; recall is non-decreasing."""
     if n_gold <= 0:
         raise EvaluationError("zero gold facts: recall undefined")
-    points = []
-    hits = 0
-    for rank, fact in enumerate(ranked, start=1):
-        hits += int(fact.correct)
-        points.append((hits / n_gold, hits / rank))
-    return points
+    hits = np.cumsum(ranked.correct)
+    return np.column_stack((hits / n_gold, hits / np.arange(1, len(hits) + 1)))
 
 
-def write_pr_csv(path, ranked: Sequence[RankedFact], n_gold: int) -> None:
+def write_pr_csv(path, ranked: Ranking, n_gold: int) -> None:
+    """rank,score,correct,precision,recall rows with CRLF line ends, floats
+    in repr form."""
     points = pr_curve_points(ranked, n_gold)
+    # recall takes at most n_gold + 1 values: format each distinct one once
+    distinct, which = np.unique(points[:, 0], return_inverse=True)
+    recall_text = [repr(v) for v in distinct.tolist()]
+    lines = ["rank,score,correct,precision,recall\r\n"]
+    lines += [
+        f"{rank},{score!r},{c},{precision!r},{recall_text[k]}\r\n"
+        for rank, score, c, precision, k in zip(range(1, len(ranked) + 1), ranked.score.tolist(),
+                                                ranked.correct.astype(np.int8).tolist(),
+                                                points[:, 1].tolist(), which.tolist())
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "score", "correct", "precision", "recall"])
-        for rank, (fact, (recall, precision)) in enumerate(zip(ranked, points), start=1):
-            writer.writerow(
-                [rank, repr(fact.score), int(fact.correct), repr(precision), repr(recall)]
-            )
+        fh.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +237,23 @@ def metrics_report(
     records: Sequence[PredictionRecord],
     relations: RelationVocab,
     population: str = "predictions",
-) -> tuple[dict, list[RankedFact] | None]:
+) -> tuple[dict, Ranking | None]:
     """Sentence metrics plus bag-level P@K%, with the decisions that shaped
-    the numbers echoed alongside them.  Also returns the ranked facts the
-    P@K% values came from (None when there are no bags or no gold facts),
-    so a caller can write the PR curve without ranking again."""
-    sent = sentence_metrics(records, relations)
-    bags = score_bags(records)
-    gold = gold_facts(records)
-    excluded = missing_kb_count(records)
+    the numbers echoed alongside them.  Also returns the ranking the P@K%
+    values came from (None when there are no gold facts), so a caller can
+    write the PR curve without ranking again."""
+    probs, gold = _scored(records, relations)
+    sent = _sentence_scores(probs.argmax(axis=1), gold, relations)
+    ranked = _rank_bags(records, probs, gold, population)
     report = {
         "accuracy": sent["accuracy"],
         "macro_f1": sent["macro_f1"],
         "p_at": {},
         "counts": {
             "records": len(records),
-            "bags": len(bags),
-            "excluded_no_kb": excluded,
-            "gold_facts": len(gold),
+            "bags": len(ranked.keys),
+            "excluded_no_kb": ranked.excluded,
+            "gold_facts": ranked.n_gold,
             "candidates": 0,
         },
         "decisions": {
@@ -257,19 +262,16 @@ def metrics_report(
             "p_at_population": population,
         },
     }
-    ranked = None
-    if bags and gold:
-        ranked = rank_facts(bags, gold, relations, population=population)
-        report["counts"]["candidates"] = len(ranked)
-        total = len(gold) if population == "gold-size" else None
-        for k in P_AT_K:
-            report["p_at"][str(k)] = (
-                precision_at_k_percent(ranked, float(k), total=total) if ranked else 0.0
-            )
+    if not ranked.n_gold:
+        return report, None
+    report["counts"]["candidates"] = len(ranked)
+    total = ranked.n_gold if population == "gold-size" else None
+    for k in P_AT_K:
+        report["p_at"][str(k)] = precision_at_k_percent(ranked, float(k), total=total) if len(ranked) else 0.0
     return report, ranked
 
 
 def write_metrics_report(path, report: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, ensure_ascii=False, sort_keys=True, indent=2)
+        json.dump(report, fh, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")

@@ -431,13 +431,16 @@ def batch_losses(
 
 def predict_pairs(model: GpGnn, sentences: Sequence[Sentence]) -> list[PredictionRecord]:
     """Evaluation-mode probabilities for every ordered pair of every
-    sentence, one record per pair in sentence and edge order."""
+    sentence, one record per pair in sentence and edge order.  A sentence
+    whose probabilities are not all finite is a FloatingPointError naming it."""
     results: list[PredictionRecord] = []
     graphs = [build_entity_graph(s) for s in sentences]
     with no_grad():
         matrices = transition_matrices(model, graphs)
         for sentence, graph, mats in zip(sentences, graphs, matrices):
             probs = _softmax_values(model.pair_logits(graph, mats, graph.edges).data, axis=1)
+            if not np.isfinite(probs).all():
+                raise FloatingPointError(f"sentence {sentence.id!r}: non-finite probabilities")
             labels = sentence.label_map()
             for k, (s, o) in enumerate(graph.edges):
                 results.append(

@@ -1,5 +1,6 @@
 """Reference implementations of the GP-GNN forward pass, one edge, one
-target pair and one message at a time.
+target pair and one message at a time, and of evaluation, one record and
+one ranked candidate at a time.
 
 ``gpgnn.model`` runs the model batched: every context of a batch's
 equal-length sentences goes through the encoder together, and every target
@@ -7,11 +8,15 @@ pair of a sentence propagates together.  The loops here spell out the same
 semantics directly: the marked context of one ordered pair, an LSTM stepped
 token by token, one message act(A[i,j] @ h_j) at a time in scalar Python,
 one target pair's flag states, representation and classifier.  The tests pin the batched path
-to these oracles.
+to these oracles.  ``gpgnn.evaluation`` ranks bags and writes its files as
+arrays; the loops at the end of this module build one dict per bag, one
+``RankedFact`` per candidate and one ``json.dumps`` or ``csv`` row per line.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from dataclasses import dataclass
 
@@ -32,7 +37,8 @@ from gpgnn.autodiff import (
     sigmoid,
     tanh,
 )
-from gpgnn.corpus import CorpusError, RelationVocab, Sentence, Vocabulary
+from gpgnn.corpus import NA_RELATION, CorpusError, RelationVocab, Sentence, Vocabulary
+from gpgnn.evaluation import P_AT_K, EvaluationError, PredictionRecord
 from gpgnn.layers import EmbeddingTable, LstmParams, MlpParams, embedding_lookup, mlp_forward
 from gpgnn.model import (
     MARKER_FIRST,
@@ -282,3 +288,172 @@ def pair_outputs(model: GpGnn, sentence: Sentence) -> tuple[np.ndarray, np.ndarr
             losses.append(neg_log_softmax(mlp_vector(model.head, rep).data, target))
             targets.append(target)
     return np.array(probs), np.array(losses), np.array(targets)
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
+def record_json(r: PredictionRecord) -> str:
+    """One record as a predictions.jsonl line (without the newline)."""
+    obj = {
+        "sentence_id": r.sentence_id,
+        "subject_idx": r.subject_idx,
+        "object_idx": r.object_idx,
+        "probs": [float(p) for p in r.probs],
+        "gold": r.gold,
+    }
+    if r.subject_kb is not None:
+        obj["subject_kb"] = r.subject_kb
+    if r.object_kb is not None:
+        obj["object_kb"] = r.object_kb
+    return json.dumps(obj, ensure_ascii=False)
+
+
+def write_predictions(path, records) -> int:
+    n = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            fh.write(record_json(r))
+            fh.write("\n")
+            n += 1
+    return n
+
+
+def sentence_metrics(records, relations: RelationVocab) -> dict:
+    if not records:
+        raise EvaluationError("empty record set")
+    correct = 0
+    tp: dict[str, int] = {}
+    fp: dict[str, int] = {}
+    fn: dict[str, int] = {}
+    for r in records:
+        pred = relations.name(r.predicted_index())
+        if r.gold not in relations:
+            raise EvaluationError(f"gold relation {r.gold!r} absent from vocabulary")
+        if pred == r.gold:
+            correct += 1
+            if pred != NA_RELATION:
+                tp[pred] = tp.get(pred, 0) + 1
+        else:
+            if pred != NA_RELATION:
+                fp[pred] = fp.get(pred, 0) + 1
+            if r.gold != NA_RELATION:
+                fn[r.gold] = fn.get(r.gold, 0) + 1
+    classes = sorted(set(tp) | set(fp) | set(fn))
+    f1s = []
+    for c in classes:
+        t, p, n = tp.get(c, 0), fp.get(c, 0), fn.get(c, 0)
+        denom = 2 * t + p + n
+        f1s.append(2.0 * t / denom if denom else 0.0)
+    macro = float(np.mean(f1s)) if f1s else 0.0
+    return {"accuracy": correct / len(records), "macro_f1": macro}
+
+
+def score_bags(records) -> dict[tuple[str, str], np.ndarray]:
+    """Max-one bag scores, one np.maximum per record in record order."""
+    bags: dict[tuple[str, str], np.ndarray] = {}
+    for r in records:
+        if r.subject_kb is None or r.object_kb is None:
+            continue
+        key = (r.subject_kb, r.object_kb)
+        held = bags.get(key)
+        if held is None:
+            bags[key] = r.probs.copy()
+        else:
+            np.maximum(held, r.probs, out=held)
+    return bags
+
+
+def missing_kb_count(records) -> int:
+    return sum(1 for r in records if r.subject_kb is None or r.object_kb is None)
+
+
+def gold_facts(records) -> set[tuple[str, str, str]]:
+    return {
+        (r.subject_kb, r.object_kb, r.gold)
+        for r in records
+        if r.gold != NA_RELATION and r.subject_kb is not None and r.object_kb is not None
+    }
+
+
+@dataclass(frozen=True)
+class RankedFact:
+    score: float
+    bag: tuple[str, str]
+    relation_index: int
+    relation: str
+    correct: bool
+
+
+def rank_facts(bags, gold, relations: RelationVocab, population: str = "predictions") -> list[RankedFact]:
+    if population not in ("predictions", "gold-size"):
+        raise EvaluationError(f"unknown ranking population {population!r}")
+    facts: list[RankedFact] = []
+    for key in sorted(bags):
+        vec = bags[key]
+        if len(vec) != len(relations):
+            raise EvaluationError(f"bag {key}: {len(vec)} scores for {len(relations)} relations")
+        na_floor = vec[0]
+        for rel_idx in range(1, len(relations)):
+            if population == "predictions" and vec[rel_idx] <= na_floor:
+                continue
+            name = relations.name(rel_idx)
+            facts.append(RankedFact(score=float(vec[rel_idx]), bag=key, relation_index=rel_idx,
+                                    relation=name, correct=(key[0], key[1], name) in gold))
+    facts.sort(key=lambda f: (-f.score, f.bag, f.relation_index))
+    return facts
+
+
+def precision_at_k_percent(ranked: list[RankedFact], k: float, total: int | None = None) -> float:
+    if not 0.0 < k <= 100.0:
+        raise EvaluationError(f"k must be in (0, 100], got {k}")
+    if not ranked:
+        raise EvaluationError("empty ranking")
+    base = total if total is not None else len(ranked)
+    top = min(len(ranked), max(1, math.ceil(k / 100.0 * base)))
+    return sum(1 for f in ranked[:top] if f.correct) / top
+
+
+def pr_curve_points(ranked: list[RankedFact], n_gold: int) -> list[tuple[float, float]]:
+    if n_gold <= 0:
+        raise EvaluationError("zero gold facts: recall undefined")
+    points = []
+    hits = 0
+    for rank, fact in enumerate(ranked, start=1):
+        hits += int(fact.correct)
+        points.append((hits / n_gold, hits / rank))
+    return points
+
+
+def write_pr_csv(path, ranked: list[RankedFact], n_gold: int) -> None:
+    points = pr_curve_points(ranked, n_gold)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["rank", "score", "correct", "precision", "recall"])
+        for rank, (fact, (recall, precision)) in enumerate(zip(ranked, points), start=1):
+            writer.writerow([rank, repr(fact.score), int(fact.correct), repr(precision), repr(recall)])
+
+
+def metrics_report(records, relations: RelationVocab, population: str = "predictions"):
+    """The report and the ranked facts (None without bags or gold facts)."""
+    sent = sentence_metrics(records, relations)
+    bags = score_bags(records)
+    gold = gold_facts(records)
+    report = {
+        "accuracy": sent["accuracy"],
+        "macro_f1": sent["macro_f1"],
+        "p_at": {},
+        "counts": {"records": len(records), "bags": len(bags), "excluded_no_kb": missing_kb_count(records),
+                   "gold_facts": len(gold), "candidates": 0},
+        "decisions": {"macro_f1_excludes_na": True, "accuracy_includes_na": True,
+                      "p_at_population": population},
+    }
+    ranked = None
+    if bags and gold:
+        ranked = rank_facts(bags, gold, relations, population=population)
+        report["counts"]["candidates"] = len(ranked)
+        total = len(gold) if population == "gold-size" else None
+        for k in P_AT_K:
+            report["p_at"][str(k)] = precision_at_k_percent(ranked, float(k), total=total) if ranked else 0.0
+    return report, ranked

@@ -20,11 +20,9 @@ from gpgnn.cli import EXIT_OK, main
 from gpgnn.corpus import Vocabulary, normalize_dataset, split_dense_subset
 from gpgnn.evaluation import (
     PredictionRecord,
-    gold_facts,
     pr_curve_points,
     precision_at_k_percent,
-    rank_facts,
-    score_bags,
+    rank_bags,
     sentence_metrics,
 )
 from gpgnn.gradcheck import full_model_gradcheck
@@ -242,11 +240,12 @@ def test_criterion_7_bag_and_metric_properties():
                                 subject_kb=skb, object_kb=okb)
 
     # max-one semantics
-    bag = score_bags([
+    one_bag = rank_bags([
         record("a", "b", [0.6, 0.2, 0.1, 0.1], "likes"),
         record("a", "b", [0.1, 0.7, 0.1, 0.1], "likes"),
         record("a", "b", [0.2, 0.5, 0.3, 0.0], "likes"),
-    ])[("a", "b")]
+    ], relations)
+    bag = dict(zip(one_bag.keys, one_bag.bag_scores))[("a", "b")]
     max_ok = bag.tolist() == [0.6, 0.7, 0.3, 0.1]
 
     # P@100% equals global precision over the ranked population
@@ -255,17 +254,15 @@ def test_criterion_7_bag_and_metric_properties():
         p = 0.95 - 0.02 * k
         gold = "likes" if k % 3 == 0 else "NA"
         records.append(record(f"b{k:02d}", "o", [min(0.04, 1 - p), p, 0.0, 0.0], gold))
-    bags = score_bags(records)
-    gold = gold_facts(records)
-    ranked = rank_facts(bags, gold, relations)
+    ranked = rank_bags(records, relations)
     p100 = precision_at_k_percent(ranked, 100.0)
-    global_precision = sum(f.correct for f in ranked) / len(ranked)
+    global_precision = sum(ranked.correct.tolist()) / len(ranked)
     p100_ok = p100 == global_precision
 
-    points = pr_curve_points(ranked, len(gold))
+    points = pr_curve_points(ranked, ranked.n_gold)
     recalls = [r for r, _ in points]
     monotone_ok = recalls == sorted(recalls)
-    top1_ok = points[0][1] == float(ranked[0].correct)
+    top1_ok = points[0][1] == float(ranked.correct[0])
 
     confusion = [
         PredictionRecord("s", 0, 1, np.array([0.0, 1.0, 0.0, 0.0]), "likes"),

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from gpgnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from gpgnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_trained_model, main
 
 from conftest import make_sentence
 
@@ -100,6 +100,19 @@ def test_preprocess_rejects_non_finite_splits_before_reading(tmp_path, capsys, s
                      "--out", str(out), "--splits", splits]) == EXIT_USAGE
         assert "--splits" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_preprocess_rejects_negative_seed_before_writing(tmp_path, capsys):
+    relations = tmp_path / "relations.json"
+    relations.write_text(json.dumps(["NA", "part of"]))
+    corpus = tmp_path / "corpus.jsonl"
+    ok = make_sentence("ok", ["earth", "in", "space"], [(0, 1), (2, 3)], [(0, 1, "part of")])
+    corpus.write_text(ok.to_json() + "\n")
+    out = tmp_path / "pre"
+    assert main(["preprocess", "--input", str(corpus), "--relations", str(relations),
+                 "--out", str(out), "--seed", "-1"]) == EXIT_DATA
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_eval_predict_roundtrip(tmp_path, synth_dir):
@@ -310,3 +323,21 @@ def test_empty_split_is_data_error_naming_the_file(tmp_path, trained_run, capsys
     capsys.readouterr()
     assert main(argv) == EXIT_DATA
     assert f"{empty}: no sentence left after normalization" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_non_finite_probabilities_are_a_numeric_failure(tmp_path, trained_run, capsys, command):
+    data, run = trained_run
+    bad = tmp_path / "run"
+    shutil.copytree(run, bad)
+    model, _config, _relations = load_trained_model(bad)
+    dict(model.store.named())["head.layer1.b"].data[0] = np.nan
+    model.store.save(bad / "checkpoint.bin")
+    first = json.loads((data / "test.jsonl").read_text(encoding="utf-8").splitlines()[0])["id"]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert main([command, "--model-dir", str(bad), "--data", str(data / "test.jsonl"),
+                     "--out", str(out)]) == EXIT_NUMERIC
+    assert f"numeric failure: sentence {first!r}: non-finite probabilities" in capsys.readouterr().err
+    assert not out.exists()

@@ -7,7 +7,9 @@ reachable from a scalar loss into topological order and walks that tape in
 reverse.  Gradients accumulate additively, so a tensor used n times receives
 the sum of its n contributions.  Only leaves (tensors no op produced, such as
 parameters) receive ``grad``; an intermediate gradient lives only until its
-op's rule has run.  One ``lstm_sequence`` record covers a whole LSTM run.
+op's rule has run.  One ``lstm_sequence`` record covers a whole LSTM run,
+and one ``propagate`` record a whole message-passing layer.  Each
+activation's values and derivative are written once, in ``ACTIVATIONS``.
 
 Everything is float64 on purpose: the models built on top are desk-scale, and
 exact arithmetic is what makes the central-difference oracle in ``grad_check``
@@ -27,7 +29,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "matmul",
-    "bmm",
     "add",
     "add_bias",
     "mul",
@@ -39,6 +40,7 @@ __all__ = [
     "reshape",
     "gather_rows",
     "lstm_sequence",
+    "propagate",
     "reduce_sum",
     "dropout",
     "softmax_cross_entropy_rows",
@@ -137,20 +139,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """One shared stack times every block: (E,k,n) x (G,E,n,p) -> (G,E,k,p),
-    where matrix e of the stack multiplies matrix e of each of the G blocks.
-    The stack is never copied; its gradient sums over the blocks."""
-    if a.ndim != 3 or b.ndim != 4 or b.shape[1] != a.shape[0] or b.shape[2] != a.shape[2]:
-        raise ShapeError(f"bmm shapes disagree: {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-
-    def rule(g: np.ndarray):
-        return (g @ bd.swapaxes(2, 3)).sum(axis=0), ad.swapaxes(1, 2) @ g
-
-    return _result(ad @ bd, (a, b), rule)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add shapes disagree: {a.shape} vs {b.shape}")
@@ -180,39 +168,39 @@ def scale(a: Tensor, c: float) -> Tensor:
 # nonlinearities
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return _result(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
-
-
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-    return _result(y, (x,), lambda g: (g * (1.0 - y * y),))
-
-
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
     # exp of -|x| only, so no branch exponentiates a large positive number
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid_values(x.data)
-    return _result(y, (x,), lambda g: (g * y * (1.0 - y),))
-
-
-ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "relu": relu,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
+# name -> (values(x), rule(g, y)): each derivative is written in terms of
+# the output y, so an op that saves y can apply it
+ACTIVATIONS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], Callable]] = {
+    "relu": (lambda x: np.where(x > 0, x, 0.0), lambda g, y: g * (y > 0)),
+    "tanh": (np.tanh, lambda g, y: g * (1.0 - y * y)),
+    "sigmoid": (_sigmoid_values, lambda g, y: g * y * (1.0 - y)),
 }
 
 
-def activation_fn(name: str) -> Callable[[Tensor], Tensor]:
+def _activation(name: str) -> tuple[Callable, Callable]:
     try:
         return ACTIVATIONS[name]
     except KeyError:
         raise ValueError(f"unknown activation {name!r}; expected one of {sorted(ACTIVATIONS)}") from None
+
+
+def activation_fn(name: str) -> Callable[[Tensor], Tensor]:
+    values, rule = _activation(name)
+
+    def apply(x: Tensor) -> Tensor:
+        y = values(x.data)
+        return _result(y, (x,), lambda g: (rule(g, y),))
+
+    return apply
+
+
+relu, tanh, sigmoid = activation_fn("relu"), activation_fn("tanh"), activation_fn("sigmoid")
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +220,9 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         other = list(p.shape)
         if other[:axis] + other[axis + 1 :] != base[:axis] + base[axis + 1 :]:
             raise ShapeError(f"concat shapes disagree off axis {axis}: {parts[0].shape} vs {p.shape}")
-    sizes = [p.shape[axis] for p in parts]
+    cuts = np.cumsum([p.shape[axis] for p in parts])[:-1]
     out = np.concatenate([p.data for p in parts], axis=axis)
-
-    def rule(g: np.ndarray):
-        grads = []
-        start = 0
-        for n in sizes:
-            sl = [slice(None)] * nd
-            sl[axis] = slice(start, start + n)
-            grads.append(g[tuple(sl)])
-            start += n
-        return tuple(grads)
-
-    return _result(out, tuple(parts), rule)
+    return _result(out, tuple(parts), lambda g: tuple(np.split(g, cuts, axis=axis)))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -275,18 +252,9 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     return _result(x.data[idx], (x,), rule)
 
 
-def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        out = x.data.sum()
-        return _result(out, (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
-    if not (0 <= axis < x.ndim):
-        raise ShapeError(f"reduce_sum axis {axis} out of range for shape {x.shape}")
-    out = x.data.sum(axis=axis)
-
-    def rule(g: np.ndarray):
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
-
-    return _result(out, (x,), rule)
+def reduce_sum(x: Tensor) -> Tensor:
+    """The sum of every element, as a scalar."""
+    return _result(x.data.sum(), (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
 
 
 def dropout(x: Tensor, ratio: float, rng: np.random.Generator | None, training: bool) -> Tensor:
@@ -320,15 +288,17 @@ def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, batch: int, revers
     if w.shape != (x.shape[1], 4 * hd) or u.shape != (hd, 4 * hd) or b.shape != (4 * hd,):
         raise ShapeError(f"lstm_sequence gate blocks {w.shape}/{u.shape}/{b.shape} do not fit rows {x.shape}")
     xd, wd, ud = x.data, w.data, u.data
+    sigmoid_values, sigmoid_rule = ACTIVATIONS["sigmoid"]
+    tanh_rule = ACTIVATIONS["tanh"][1]
     times = range(x.shape[0] // batch)
     blocks = [slice(t * batch, (t + 1) * batch) for t in (reversed(times) if reverse else times)]
     h = c = np.zeros((batch, hd))
     saved = []
     for rows in blocks:
         z = (xd[rows] @ wd + h @ ud) + b.data
-        i = _sigmoid_values(z[:, :hd])
-        f = _sigmoid_values(z[:, hd : 2 * hd])
-        o = _sigmoid_values(z[:, 2 * hd : 3 * hd])
+        i = sigmoid_values(z[:, :hd])
+        f = sigmoid_values(z[:, hd : 2 * hd])
+        o = sigmoid_values(z[:, 2 * hd : 3 * hd])
         g = np.tanh(z[:, 3 * hd :])
         cp = c
         c = f * cp + i * g
@@ -341,16 +311,9 @@ def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, batch: int, revers
         gw, gu, gb = np.zeros_like(wd), np.zeros_like(ud), np.zeros_like(b.data)
         gh, gc = gy, np.zeros_like(gy)
         for rows, (hp, cp, i, f, o, g, tc) in zip(reversed(blocks), reversed(saved)):
-            gc = gc + gh * o * (1.0 - tc * tc)
-            gz = np.concatenate(
-                [
-                    gc * g * i * (1.0 - i),
-                    gc * cp * f * (1.0 - f),
-                    gh * tc * o * (1.0 - o),
-                    gc * i * (1.0 - g * g),
-                ],
-                axis=1,
-            )
+            gc = gc + tanh_rule(gh * o, tc)
+            gz = np.concatenate([sigmoid_rule(gc * g, i), sigmoid_rule(gc * cp, f),
+                                 sigmoid_rule(gh * tc, o), tanh_rule(gc * i, g)], axis=1)
             gw += xd[rows].T @ gz
             gu += hp.T @ gz
             gb += gz.sum(axis=0)
@@ -360,6 +323,43 @@ def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, batch: int, revers
         return gx, gw, gu, gb
 
     return _result(h, (x, w, u, b), rule)
+
+
+# ---------------------------------------------------------------------------
+# message passing
+
+
+def propagate(matrices: Tensor, states: Tensor, sources, activation: str) -> Tensor:
+    """One message-passing layer as one tape record.
+
+    ``matrices`` is an (E, d, d) stack, ``states`` (R, d) and ``sources``
+    G*E row indices into ``states``.  Message k = g*E + e is
+    act(matrices[e] @ states[sources[k]]): one stack serves all G blocks and
+    is never copied.  Output row r sums the G*E/R consecutive messages that
+    start at message r*G*E/R, so the result is (R, d).  The rule scatter-adds
+    into the state rows and skips any operand that takes no gradient.
+    """
+    values, act_rule = _activation(activation)
+    idx = np.asarray(sources, dtype=np.intp)
+    md, sd = matrices.data, states.data
+    if (md.ndim != 3 or sd.ndim != 2 or idx.ndim != 1 or md.shape[1:] != (sd.shape[1],) * 2
+            or 0 in (md.shape[0], sd.shape[0], idx.size) or idx.size % md.shape[0] or idx.size % sd.shape[0]):
+        raise ShapeError(f"propagate shapes disagree: {md.shape} stack, {sd.shape} states, {idx.shape} sources")
+    e, d = md.shape[0], sd.shape[1]
+    x = sd[idx].reshape(-1, e, d, 1)
+    y = values(md @ x).reshape(sd.shape[0], -1, d)  # (R, c, d): the c messages each output row sums
+    out = y.sum(axis=1)
+
+    def rule(g: np.ndarray):
+        gz = act_rule(g[:, None, :], y).reshape(x.shape)
+        gm = (gz @ x.swapaxes(2, 3)).sum(axis=0) if matrices.requires_grad else None
+        if not states.requires_grad:
+            return gm, None
+        gs = np.zeros_like(sd)
+        np.add.at(gs, idx, (md.swapaxes(1, 2) @ gz).reshape(-1, d))
+        return gm, gs
+
+    return _result(out, (matrices, states), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ reproducible runs.
 Every command writes a manifest next to its outputs recording the command,
 config, seed and sub-seed names, library versions, and input file hashes.
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure (non-finite
-loss, non-finite probabilities, a non-finite gradient-check probe, or a
+loss, weights or probabilities, a non-finite gradient-check probe, or a
 failed gradient check).
 """
 

@@ -32,13 +32,12 @@ from .autodiff import (
     ShapeError,
     Tensor,
     _softmax_values,
-    activation_fn,
-    bmm,
     concat,
     dropout,
     gather_rows,
     mul,
     no_grad,
+    propagate,
     reduce_sum,
     reshape,
     softmax_cross_entropy_rows,
@@ -231,21 +230,18 @@ def propagate_layer(states: Tensor, matrices: Tensor, activation: str) -> Tensor
     with the activation applied per message before summation.  ``matrices``
     is the (E, d_n, d_n) stack of an m-entity graph in edge order, so
     E = m(m-1) gives m.  ``states`` stacks independent blocks of m nodes,
-    (blocks*m, d_n), and every block propagates against that one stack."""
+    (blocks*m, d_n), and every block propagates against that one stack.
+    The step is one ``propagate`` tape record, whatever the number of blocks."""
     e = matrices.shape[0] if matrices.ndim == 3 else 0
     m = math.isqrt(e) + 1  # the m >= 1 with m(m-1) = e, if there is one
     if e == 0 or m * (m - 1) != e:
         raise ShapeError(f"expected an (m(m-1), d, d) stack of matrices for m >= 2, got {matrices.shape}")
-    rows, d = states.shape
+    rows = states.shape[0]
     if rows % m != 0:
         raise ShapeError(f"{rows} state rows do not split into blocks of {m} nodes")
-    groups = rows // m
-    act = activation_fn(activation)
-    src = (np.arange(groups, dtype=np.intp)[:, None] * m + message_sources(m)[None, :]).reshape(-1)
-    gathered = reshape(gather_rows(states, src), (groups, e, d, 1))
-    messages = act(bmm(matrices, gathered))
-    grouped = reshape(messages, (groups * m, m - 1, d))
-    return reduce_sum(grouped, axis=1)
+    # edge order keeps the m-1 edges (i, j) of each node i side by side, as propagate sums them
+    src = np.arange(rows // m, dtype=np.intp)[:, None] * m + message_sources(m)[None, :]
+    return propagate(matrices, states, src.reshape(-1), activation)
 
 
 # ---------------------------------------------------------------------------

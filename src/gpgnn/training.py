@@ -31,7 +31,7 @@ SUB_SEEDS = ("init", "shuffle", "dropout")
 
 
 class TrainingError(RuntimeError):
-    """Training aborted (non-finite loss or a missing gradient)."""
+    """Training aborted (non-finite loss or weight, or a missing gradient)."""
 
 
 @dataclass
@@ -126,14 +126,17 @@ def named_rngs(seed: int) -> dict[str, np.random.Generator]:
 # optimizer
 
 
+# the adaptive-moment update's decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Per-parameter first/second moment buffers for the adaptive-moment
     update, plus the shared step counter."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -141,15 +144,16 @@ class OptimizerState:
 
 def adam_step(state: OptimizerState, store: ParameterStore, lr: float) -> None:
     """Bias-corrected adaptive-moment update, in place; gradients are cleared
-    afterward.  A registered parameter without a gradient is an error."""
+    afterward.  A registered parameter without a gradient is an error, and
+    so is the first parameter, in name order, that the update leaves with a
+    non-finite value."""
     named = store.named()
     for name, p in named:
         if p.grad is None:
             raise TrainingError(f"parameter {name!r} has no gradient")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1**state.step
-    bias2 = 1.0 - b2**state.step
+    bias1 = 1.0 - BETA1**state.step
+    bias2 = 1.0 - BETA2**state.step
     for name, p in named:
         g = p.grad
         m = state.m.get(name)
@@ -158,11 +162,13 @@ def adam_step(state: OptimizerState, store: ParameterStore, lr: float) -> None:
         v = state.v.get(name)
         if v is None:
             v = state.v[name] = np.zeros_like(p.data)
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
+        if not np.isfinite(p.data).all():
+            raise TrainingError(f"parameter {name!r} is not finite after optimizer step {state.step}")
         p.zero_grad()
 
 
@@ -213,7 +219,8 @@ def run_training(
     ``patience`` epochs without improvement, or as soon as the validation
     accuracy reaches ``stop_accuracy`` (pass the training set as ``valid``
     to drive an overfit check).  Aborts on a non-finite loss, naming the
-    offending sentence.
+    offending sentence, and on a step that leaves a weight non-finite,
+    naming the parameter, before any validation pass or checkpoint sees it.
     """
     if not train:
         raise TrainingError("empty training set")

@@ -203,6 +203,10 @@ def naive_propagate(states, mats_by_edge, edges, activation):
                 msg = msg if msg > 0.0 else 0.0
             elif activation == "tanh":
                 msg = math.tanh(msg)
+            elif activation == "sigmoid":
+                # exp of a non-positive number only, so nothing overflows
+                e = math.exp(-abs(msg))
+                msg = 1.0 / (1.0 + e) if msg >= 0.0 else e / (1.0 + e)
             else:
                 raise ValueError(f"naive_propagate has no {activation!r} activation")
             out[i][r] += msg

@@ -249,28 +249,57 @@ def test_gather_rows_scatter_and_freeze():
 
 
 def test_bmm_reduce_gradients():
+    """The shared-stack batched product lives inside ``propagate``: its
+    gradients against the stack and the states, over several blocks, match
+    finite differences, as does the gradient of the scalar ``reduce_sum``."""
     rng = np.random.default_rng(9)
-    a0 = rng.uniform(-1, 1, (3, 2, 4))
-    b0 = rng.uniform(-1, 1, (2, 3, 4, 2))
-    w = Tensor(rng.uniform(-1, 1, (2, 3, 2, 2)))
-    report = ad.grad_check(lambda a: ad.reduce_sum(ad.mul(ad.bmm(a, Tensor(b0)), w)), t(a0))
-    assert report.passed
-    report = ad.grad_check(lambda b: ad.reduce_sum(ad.mul(ad.bmm(Tensor(a0), b), w)), t(b0))
-    assert report.passed
-    report = ad.grad_check(lambda x: ad.reduce_sum(ad.reduce_sum(x, axis=1)), t(rng.uniform(-1, 1, (2, 3, 4))))
+    m, d, blocks = 3, 2, 3
+    sources = [1, 2, 0, 2, 0, 1]
+    idx = (np.arange(blocks)[:, None] * m + np.array(sources)).reshape(-1)
+    stack = rng.uniform(-1, 1, (len(sources), d, d))
+    states = rng.uniform(-1, 1, (blocks * m, d))
+    w = Tensor(rng.uniform(-1, 1, (blocks * m, d)))
+    for act in ("tanh", "sigmoid"):
+        report = ad.grad_check(lambda a: ad.reduce_sum(ad.mul(ad.propagate(a, t(states), idx, act), w)), t(stack))
+        assert report.passed
+        report = ad.grad_check(lambda s: ad.reduce_sum(ad.mul(ad.propagate(t(stack), s, idx, act), w)), t(states))
+        assert report.passed
+    report = ad.grad_check(lambda x: ad.reduce_sum(ad.mul(x, x)), t(rng.uniform(-1, 1, (2, 3, 4))))
     assert report.passed
 
 
 def test_bmm_shares_one_stack_across_blocks():
+    """Five blocks of m=3 nodes propagate against one stack, which the op
+    takes as it is, not tiled per block.  States that take no gradient get
+    none, and the stack's gradient does not depend on whether they do."""
     rng = np.random.default_rng(10)
-    stack = rng.uniform(-1, 1, (3, 2, 4))
-    blocks = rng.uniform(-1, 1, (5, 3, 4, 1))
-    out = ad.bmm(t(stack), t(blocks)).data
-    for g in range(5):
-        for e in range(3):
-            np.testing.assert_allclose(out[g, e], stack[e] @ blocks[g, e], atol=1e-15)
-    with pytest.raises(ShapeError, match="bmm"):
-        ad.bmm(t(stack), t(rng.uniform(-1, 1, (15, 4, 1))))
+    m, d, blocks = 3, 4, 5
+    sources = [1, 2, 0, 2, 0, 1]  # source node j of each edge (i, j), edges of node i side by side
+    idx = (np.arange(blocks)[:, None] * m + np.array(sources)).reshape(-1)
+    stack = rng.uniform(-1, 1, (len(sources), d, d))
+    states = rng.uniform(-1, 1, (blocks * m, d))
+    g = rng.uniform(-1, 1, (blocks * m, d))
+
+    rules = {}
+    for states_grad in (True, False):
+        a, s = t(stack, requires_grad=True), t(states, requires_grad=states_grad)
+        out = ad.propagate(a, s, idx, "tanh")
+        assert out.op.inputs[0] is a and out.op.inputs[1] is s
+        rules[states_grad] = out.op.rule(g)
+    for b in range(blocks):
+        for i in range(m):
+            edges = range(i * (m - 1), (i + 1) * (m - 1))
+            expected = sum(np.tanh(stack[e] @ states[b * m + sources[e]]) for e in edges)
+            np.testing.assert_allclose(out.data[b * m + i], expected, atol=1e-15)
+    # the stack's gradient sums what each block alone would give it
+    alone = [ad.propagate(t(stack, requires_grad=True), t(states[b * m : (b + 1) * m]), sources, "tanh")
+             .op.rule(g[b * m : (b + 1) * m])[0] for b in range(blocks)]
+    np.testing.assert_allclose(rules[True][0], sum(alone), atol=1e-13)
+    assert rules[False][1] is None
+    assert rules[True][1].shape == states.shape
+    np.testing.assert_array_equal(rules[False][0], rules[True][0])
+    with pytest.raises(ShapeError, match="propagate"):
+        ad.propagate(t(stack), t(states[:, :3]), idx, "tanh")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import json
+import re
 import shutil
 
 import numpy as np
 import pytest
 
 from gpgnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_trained_model, main
+from gpgnn.layers import load_checkpoint
 
 from conftest import make_sentence
 
@@ -197,6 +199,24 @@ def test_numeric_failure_exit_code_from_training(tmp_path, synth_dir):
                      "--relations", str(synth_dir / "relations.json"),
                      "--config", str(cfg), "--out", str(run)])
     assert code == EXIT_NUMERIC
+
+
+def test_non_finite_weights_stop_training_before_validation(tmp_path, synth_dir, capsys):
+    """One batch per epoch at lr 1e300: the step that leaves a weight NaN
+    stops the run before a validation pass or a checkpoint sees it."""
+    cfg = write_config(tmp_path, learning_rate=1e300, clip_norm=0.0, batch_size=12, epochs=3)
+    run = tmp_path / "run"
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        code = main(["train", "--train", str(synth_dir / "train.jsonl"),
+                     "--valid", str(synth_dir / "valid.jsonl"),
+                     "--relations", str(synth_dir / "relations.json"),
+                     "--config", str(cfg), "--out", str(run)])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert re.search(r"numeric failure: parameter '[\w.]+' is not finite after optimizer step \d+", err), err
+    if (run / "checkpoint.bin").exists():
+        assert all(np.isfinite(a).all() for a in load_checkpoint(run / "checkpoint.bin").values())
 
 
 def test_model_json_from_before_workers_removal_loads(tmp_path, synth_dir, capsys):

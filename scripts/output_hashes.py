@@ -11,7 +11,13 @@ without its ``wall_ms`` fields, each evaluation's ``metrics.json``,
 output directory.  Standard output is one JSON object, case name to file
 name to hash; compare it between checkouts.
 
-Run:  PYTHONPATH=src python3 scripts/output_hashes.py OUT_DIR
+``--models PARENT_OUT`` checks the forward pass apart from training: it
+trains nothing, and evaluates and predicts with the corpora and trained run
+directories that a run of this script (in any checkout) left in
+PARENT_OUT, printing only those hashes.  Two checkouts whose training
+rounds differently can still be shown to evaluate one model identically.
+
+Run:  PYTHONPATH=src python3 scripts/output_hashes.py OUT_DIR [--models PARENT_OUT]
 """
 
 from __future__ import annotations
@@ -70,7 +76,8 @@ def sha256(path: Path, drop_wall_ms: bool = False) -> str | None:
     return hashlib.sha256(raw).hexdigest()
 
 
-def hash_case(out: Path, synth_flags: list[str], config: dict) -> dict[str, str | None]:
+def train_case(out: Path, synth_flags: list[str], config: dict) -> dict[str, str | None]:
+    """Synthesize and train under ``out``; hash the checkpoint and run log."""
     data, run_dir = out / "data", out / "run"
     run(["synth", "--out", str(data), "--seed", "101", "--splits", "0.5,0.2,0.3", *synth_flags])
     config_path = out / "config.json"
@@ -78,9 +85,15 @@ def hash_case(out: Path, synth_flags: list[str], config: dict) -> dict[str, str 
     run(["train", "--train", str(data / "train.jsonl"), "--valid", str(data / "valid.jsonl"),
          "--relations", str(data / "relations.json"), "--inverse-map", str(data / "inverse_map.json"),
          "--config", str(config_path), "--out", str(run_dir)])
-    hashes = {"checkpoint.bin": sha256(run_dir / "checkpoint.bin"),
-              "run_log.jsonl": sha256(run_dir / "run_log.jsonl", drop_wall_ms=True)}
-    test = ["--model-dir", str(run_dir), "--data", str(data / "test.jsonl")]
+    return {"checkpoint.bin": sha256(run_dir / "checkpoint.bin"),
+            "run_log.jsonl": sha256(run_dir / "run_log.jsonl", drop_wall_ms=True)}
+
+
+def eval_case(case: Path, out: Path) -> dict[str, str | None]:
+    """Evaluate and predict with the run under ``case`` on its test split,
+    writing under ``out``; hash what they write."""
+    hashes = {}
+    test = ["--model-dir", str(case / "run"), "--data", str(case / "data" / "test.jsonl")]
     for population in ("predictions", "gold-size"):
         ev = out / f"eval-{population}"
         run(["eval", *test, "--out", str(ev), "--population", population])
@@ -94,6 +107,10 @@ def hash_case(out: Path, synth_flags: list[str], config: dict) -> dict[str, str 
 def parse_args(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("out", help="an empty or missing directory for the runs' files")
+    p.add_argument("--models", metavar="PARENT_OUT", default=None,
+                   help="the OUT directory of an earlier run of this script, perhaps from another "
+                        "checkout: evaluate and predict with its corpora and trained runs, train "
+                        "nothing, and print only the evaluation and prediction hashes")
     return p.parse_args(argv)
 
 
@@ -102,5 +119,10 @@ if __name__ == "__main__":
     root = Path(args.out)
     if root.exists() and any(root.iterdir()):
         sys.exit(f"{root} is not empty")
-    print(json.dumps({name: hash_case(root / name, flags, cfg) for name, (flags, cfg) in CASES.items()},
-                     indent=1, sort_keys=True))
+    hashes = {}
+    for name, (flags, cfg) in CASES.items():
+        if args.models is None:
+            hashes[name] = {**train_case(root / name, flags, cfg), **eval_case(root / name, root / name)}
+        else:
+            hashes[name] = eval_case(Path(args.models) / name, root / name)
+    print(json.dumps(hashes, indent=1, sort_keys=True))

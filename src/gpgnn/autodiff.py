@@ -8,8 +8,11 @@ reverse.  Gradients accumulate additively, so a tensor used n times receives
 the sum of its n contributions.  Only leaves (tensors no op produced, such as
 parameters) receive ``grad``; an intermediate gradient lives only until its
 op's rule has run.  One ``lstm_sequence`` record covers a whole LSTM run,
-and one ``propagate`` record a whole message-passing layer.  Each
-activation's values and derivative are written once, in ``ACTIVATIONS``.
+and one ``propagate`` record a whole message-passing layer.  The LSTM runs
+over a ``SequencePlan``, the prefix forest of its batch's sequences, so a
+prefix that several sequences share is computed once; a plan that shares
+nothing is the dense batch.  Each activation's values and derivative are
+written once, in ``ACTIVATIONS``.
 
 Everything is float64 on purpose: the models built on top are desk-scale, and
 exact arithmetic is what makes the central-difference oracle in ``grad_check``
@@ -39,6 +42,7 @@ __all__ = [
     "concat",
     "reshape",
     "gather_rows",
+    "SequencePlan",
     "lstm_sequence",
     "propagate",
     "reduce_sum",
@@ -273,56 +277,173 @@ def dropout(x: Tensor, ratio: float, rng: np.random.Generator | None, training: 
 # recurrence
 
 
-def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, batch: int, reverse: bool = False) -> Tensor:
-    """An LSTM over ``batch`` equal-length sequences from zero states.
+def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with each row's bits independent of how many rows ``a``
+    has.  numpy sends a one-row product to gemv, which rounds differently
+    from gemm, so a single row is multiplied as a pair of rows."""
+    if a.shape[0] == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
 
-    ``x`` holds time-major rows: row t*batch + k is timestep t of sequence k.
-    ``w`` (D, 4H), ``u`` (H, 4H) and ``b`` (4H,) lay out the input, forget,
-    output and candidate gate blocks side by side.  ``reverse`` runs from the
-    last timestep to the first.  Returns the final (batch, H) hidden state as
-    one tape record; its rule is backpropagation through time.
+
+class _ChildSums:
+    """Sums of items by label, for labels 0..k-1 that each hold an item.
+
+    ``labels`` is sorted, and item ``order[k]`` holds ``labels[k]`` (item k
+    when ``order`` is None).  ``first`` is one item of every label.  Round r
+    adds, to each label that holds more than r+1 items, its item r+2.  Most
+    nodes of a prefix forest have one child, so a few gather-adds make the
+    sums, where ``np.add.reduceat`` would pay a fixed cost per label.  Items
+    in order whose labels are distinct are their own sums."""
+
+    __slots__ = ("first", "rounds")
+
+    def __init__(self, labels: np.ndarray, order: np.ndarray | None = None):
+        counts = np.bincount(labels)
+        self.first = self.rounds = None
+        if order is None:
+            if counts.size == labels.size:
+                return
+            order = np.arange(labels.size)
+        starts = np.cumsum(counts) - counts
+        self.first = order[starts]
+        self.rounds = []
+        for k in range(1, int(counts.max())):
+            more = np.flatnonzero(counts > k)
+            self.rounds.append((more, order[starts[more] + k]))
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        if self.first is None:
+            return values
+        out = values[self.first]
+        for labels, items in self.rounds:
+            out[labels] += values[items]
+        return out
+
+
+class SequencePlan:
+    """The prefix forest of N equal-length sequences, for one direction.
+
+    ``ids`` is an (N, L) array of input row ids: sequence k reads row
+    ids[k, t] at timestep t, and ``reverse`` reads t from L-1 down to 0.  Two
+    sequences whose inputs agree up to a step share every LSTM state up to
+    that step, so level t of the forest holds one node per distinct prefix
+    of length t+1, that is per distinct (parent node, input row) pair.  One
+    lexicographic sort of the sequences finds them all: a sorted sequence
+    starts a new node at level t where its prefix differs from the one
+    before it.  Nodes come in prefix order, so each parent's children are
+    contiguous.  A plan whose sequences share nothing is the dense batch.
+
+    Per level: ``inputs`` (each node's row id), ``parents`` (each node's node
+    in the level before; all 0 at the root level) and ``children`` (the
+    sums over each parent's children; None at the root level).  ``final``
+    maps each sequence to its node in the last level, and ``final_sums``
+    sums over each last-level node's sequences.  ``input_order``,
+    ``input_runs`` and ``input_rows`` group all nodes by input row for
+    ``np.add.reduceat``.
     """
-    if x.ndim != 2 or batch < 1 or x.shape[0] == 0 or x.shape[0] % batch != 0:
-        raise ShapeError(f"lstm_sequence needs a nonempty multiple of {batch} time-major rows, got {x.shape}")
+
+    def __init__(self, ids, reverse: bool = False):
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.ndim != 2 or 0 in ids.shape or ids.min() < 0:
+            raise ShapeError(f"a sequence plan needs a nonempty (N, L) array of row ids >= 0, got {ids.shape}")
+        steps = ids[:, ::-1] if reverse else ids
+        order = np.lexsort(steps.T[::-1])
+        steps = steps[order]
+        starts = np.ones(steps.shape, dtype=bool)  # sorted row k starts a node at level t
+        starts[1:] = np.logical_or.accumulate(steps[1:] != steps[:-1], axis=1)
+        node = np.cumsum(starts, axis=0) - 1  # sorted row k's node at each level
+        self.inputs, self.parents, self.children = [], [], []
+        for t in range(steps.shape[1]):
+            rows = np.flatnonzero(starts[:, t])
+            parent = node[rows, t - 1] if t else np.zeros(rows.size, dtype=np.intp)
+            self.children.append(_ChildSums(parent) if t else None)
+            self.inputs.append(steps[rows, t])
+            self.parents.append(parent)
+        self.final = np.empty_like(order)
+        self.final[order] = node[:, -1]
+        self.final_sums = _ChildSums(node[:, -1], order)
+        every = np.concatenate(self.inputs)
+        self.input_order = np.argsort(every, kind="stable")
+        by_input = every[self.input_order]
+        self.input_runs = np.flatnonzero(np.diff(by_input, prepend=-1))
+        self.input_rows = by_input[self.input_runs]
+
+    @property
+    def sequences(self) -> int:
+        return self.final.size
+
+    @property
+    def nodes(self) -> int:
+        return self.input_order.size
+
+
+def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, plan: SequencePlan) -> Tensor:
+    """An LSTM from zero states over the sequences of a ``SequencePlan``.
+
+    ``x`` holds input rows that the plan's ids index.  ``w`` (D, 4H),
+    ``u`` (H, 4H) and ``b`` (4H,) lay out the input, forget, output and
+    candidate gate blocks side by side.  The recurrence runs once per plan
+    node, a level at a time: ``(x @ w)[input] + (h @ u)[parent] + b``, with
+    no ``h @ u`` at the root level, whose parent state is zero.  Returns each
+    sequence's final (N, H) hidden state in sequence order as one tape
+    record.  Its rule is backpropagation through time over the nodes: a
+    parent's state gradients are the sums of its children's.
+
+    Sharing a state between sequences is exact because nothing random (no
+    dropout) touches the inputs or the states: a node's state is a function
+    of its prefix alone.
+    """
     hd = u.shape[0]
+    if x.ndim != 2 or x.shape[0] <= plan.input_rows[-1]:
+        raise ShapeError(f"lstm_sequence input rows {x.shape} do not hold the plan's row {plan.input_rows[-1]}")
     if w.shape != (x.shape[1], 4 * hd) or u.shape != (hd, 4 * hd) or b.shape != (4 * hd,):
         raise ShapeError(f"lstm_sequence gate blocks {w.shape}/{u.shape}/{b.shape} do not fit rows {x.shape}")
     xd, wd, ud = x.data, w.data, u.data
     sigmoid_values, sigmoid_rule = ACTIVATIONS["sigmoid"]
     tanh_rule = ACTIVATIONS["tanh"][1]
-    times = range(x.shape[0] // batch)
-    blocks = [slice(t * batch, (t + 1) * batch) for t in (reversed(times) if reverse else times)]
-    h = c = np.zeros((batch, hd))
+    xw = _matmul_rows(xd, wd)
     saved = []
-    for rows in blocks:
-        z = (xd[rows] @ wd + h @ ud) + b.data
-        i = sigmoid_values(z[:, :hd])
-        f = sigmoid_values(z[:, hd : 2 * hd])
-        o = sigmoid_values(z[:, 2 * hd : 3 * hd])
+    h = c = None
+    for inputs, parents in zip(plan.inputs, plan.parents):
+        z = xw[inputs]
+        if h is not None:
+            z += _matmul_rows(h, ud)[parents]
+        z += b.data
+        ifo = sigmoid_values(z[:, : 3 * hd])
+        i, f, o = ifo[:, :hd], ifo[:, hd : 2 * hd], ifo[:, 2 * hd :]
         g = np.tanh(z[:, 3 * hd :])
-        cp = c
-        c = f * cp + i * g
+        cp = None if c is None else c[parents]
+        c = i * g if cp is None else f * cp + i * g
         tc = np.tanh(c)
-        saved.append((h, cp, i, f, o, g, tc))
+        saved.append((h, cp, ifo, g, tc))
         h = o * tc
 
     def rule(gy: np.ndarray):
-        gx = np.empty_like(xd)
-        gw, gu, gb = np.zeros_like(wd), np.zeros_like(ud), np.zeros_like(b.data)
-        gh, gc = gy, np.zeros_like(gy)
-        for rows, (hp, cp, i, f, o, g, tc) in zip(reversed(blocks), reversed(saved)):
+        gu = np.zeros_like(ud)
+        gh = plan.final_sums(gy)
+        gc = np.zeros_like(gh)
+        gz_all = np.empty((plan.nodes, 4 * hd))  # the nodes' gate gradients, level by level
+        stop = plan.nodes
+        for children, (hp, cp, ifo, g, tc) in zip(reversed(plan.children), reversed(saved)):
+            i, f, o = ifo[:, :hd], ifo[:, hd : 2 * hd], ifo[:, 2 * hd :]
             gc = gc + tanh_rule(gh * o, tc)
-            gz = np.concatenate([sigmoid_rule(gc * g, i), sigmoid_rule(gc * cp, f),
-                                 sigmoid_rule(gh * tc, o), tanh_rule(gc * i, g)], axis=1)
-            gw += xd[rows].T @ gz
-            gu += hp.T @ gz
-            gb += gz.sum(axis=0)
-            gx[rows] = gz @ wd.T
-            gh = gz @ ud.T
-            gc = gc * f
-        return gx, gw, gu, gb
+            gz = gz_all[stop - len(g) : stop]
+            stop -= len(g)
+            gcp = np.zeros_like(gc) if cp is None else gc * cp
+            gz[:, : 3 * hd] = sigmoid_rule(np.concatenate([gc * g, gcp, gh * tc], axis=1), ifo)
+            gz[:, 3 * hd :] = tanh_rule(gc * i, g)
+            if hp is not None:
+                gz = children(gz)
+                gu += hp.T @ gz
+                gh = gz @ ud.T
+                gc = children(gc * f)
+        # one row of summed gate gradients per input row
+        gzx = np.zeros((xd.shape[0], 4 * hd))
+        gzx[plan.input_rows] = np.add.reduceat(gz_all[plan.input_order], plan.input_runs)
+        return gzx @ wd.T, xd.T @ gzx, gu, gzx.sum(axis=0)
 
-    return _result(h, (x, w, u, b), rule)
+    return _result(h[plan.final], (x, w, u, b), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -332,32 +453,42 @@ def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, batch: int, revers
 def propagate(matrices: Tensor, states: Tensor, sources, activation: str) -> Tensor:
     """One message-passing layer as one tape record.
 
-    ``matrices`` is an (E, d, d) stack, ``states`` (R, d) and ``sources``
-    G*E row indices into ``states``.  Message k = g*E + e is
-    act(matrices[e] @ states[sources[k]]): one stack serves all G blocks and
-    is never copied.  Output row r sums the G*E/R consecutive messages that
-    start at message r*G*E/R, so the result is (R, d).  The rule scatter-adds
-    into the state rows and skips any operand that takes no gradient.
+    ``matrices`` is an (E, d, d) stack and ``states`` stacks B blocks of m
+    nodes, (B*m, d).  ``sources`` gives the source node, in 0..m-1, of each
+    of the E edges of a block, every node the source of the same number
+    c = E/m of edges; m is the number of distinct sources.  Message (g, e)
+    is act(matrices[e] @ states[g*m + sources[e]]): one stack serves all B
+    blocks and is never copied.  Output row g*m + i sums the c consecutive
+    messages (g, i*c) .. (g, i*c + c-1), so the result is (B*m, d).  The
+    rule forms the stack's gradient as one (E, d, B) x (E, B, d) product and
+    the states' as a sum over each node's c messages; it skips any operand
+    that takes no gradient.
     """
     values, act_rule = _activation(activation)
-    idx = np.asarray(sources, dtype=np.intp)
+    src = np.asarray(sources, dtype=np.intp)
     md, sd = matrices.data, states.data
-    if (md.ndim != 3 or sd.ndim != 2 or idx.ndim != 1 or md.shape[1:] != (sd.shape[1],) * 2
-            or 0 in (md.shape[0], sd.shape[0], idx.size) or idx.size % md.shape[0] or idx.size % sd.shape[0]):
-        raise ShapeError(f"propagate shapes disagree: {md.shape} stack, {sd.shape} states, {idx.shape} sources")
+    ok = (md.ndim == 3 and sd.ndim == 2 and md.shape[1:] == (sd.shape[1],) * 2
+          and src.shape == (md.shape[0],) and src.size > 0 and src.min() >= 0)
+    if ok:
+        counts = np.bincount(src)
+        m = counts.size
+        ok = counts.min() == counts.max() and sd.shape[0] > 0 and sd.shape[0] % m == 0
+    if not ok:
+        raise ShapeError(f"propagate shapes disagree: {md.shape} stack, {sd.shape} states, {src.shape} sources")
     e, d = md.shape[0], sd.shape[1]
-    x = sd[idx].reshape(-1, e, d, 1)
-    y = values(md @ x).reshape(sd.shape[0], -1, d)  # (R, c, d): the c messages each output row sums
+    blocks = sd.shape[0] // m
+    x = sd.reshape(blocks, m, d)[:, src].reshape(blocks, e, d, 1)
+    y = values(md @ x).reshape(sd.shape[0], -1, d)  # (B*m, c, d): the c messages each output row sums
     out = y.sum(axis=1)
+    by_source = np.argsort(src, kind="stable")
 
     def rule(g: np.ndarray):
-        gz = act_rule(g[:, None, :], y).reshape(x.shape)
-        gm = (gz @ x.swapaxes(2, 3)).sum(axis=0) if matrices.requires_grad else None
+        gz = act_rule(g[:, None, :], y).reshape(blocks, e, d)
+        gm = gz.transpose(1, 2, 0) @ x.reshape(blocks, e, d).swapaxes(0, 1) if matrices.requires_grad else None
         if not states.requires_grad:
             return gm, None
-        gs = np.zeros_like(sd)
-        np.add.at(gs, idx, (md.swapaxes(1, 2) @ gz).reshape(-1, d))
-        return gm, gs
+        gx = (md.swapaxes(1, 2) @ gz[..., None])[:, by_source]
+        return gm, gx.reshape(sd.shape[0], -1, d).sum(axis=1)
 
     return _result(out, (matrices, states), rule)
 

@@ -1,5 +1,5 @@
 """Parameterized layers on top of the tensor core: embedding tables, LSTM
-parameters, the batched bidirectional sequence encoder, multi-layer
+parameters, the prefix-shared bidirectional sequence encoder, multi-layer
 perceptrons, and a named parameter store with a binary checkpoint format.
 
 All weights initialize uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)], which
@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .autodiff import (
+    SequencePlan,
     ShapeError,
     Tensor,
     activation_fn,
@@ -143,24 +144,26 @@ class LstmParams:
 
 
 def bilstm_encode_batch(
-    fwd: LstmParams, bwd: LstmParams, rows: Tensor, length: int, batch: int
+    fwd: LstmParams, bwd: LstmParams, rows: Tensor, fwd_plan: SequencePlan, bwd_plan: SequencePlan
 ) -> Tensor:
-    """Batched encoder over ``batch`` equal-length sequences stored time-major:
-    row t*batch + b is timestep t of sequence b.  Returns (batch, 2H)."""
-    if rows.ndim != 2 or rows.shape[0] != length * batch:
-        raise ShapeError(f"expected {length * batch} time-major rows, got {rows.shape}")
-    h_f = _run_direction(fwd, rows, batch, reverse=False)
-    h_b = _run_direction(bwd, rows, batch, reverse=True)
+    """Bidirectional encoder over the N sequences of two ``SequencePlan``s
+    of the same id array, one per reading direction, whose ids index
+    ``rows``.  Each direction runs once per distinct prefix of its plan, not
+    once per sequence and timestep.  Returns (N, 2H) in sequence order."""
+    if fwd_plan.sequences != bwd_plan.sequences:
+        raise ShapeError(f"direction plans disagree: {fwd_plan.sequences} vs {bwd_plan.sequences} sequences")
+    h_f = _run_direction(fwd, rows, fwd_plan)
+    h_b = _run_direction(bwd, rows, bwd_plan)
     return concat([h_f, h_b], axis=1)
 
 
-def _run_direction(p: LstmParams, rows: Tensor, batch: int, reverse: bool) -> Tensor:
+def _run_direction(p: LstmParams, rows: Tensor, plan: SequencePlan) -> Tensor:
     # fuse the four gate blocks into one wide matrix per input; the concats
     # are on the tape, so gradients land back in the per-gate tensors
     w_all = concat([p.w_i, p.w_f, p.w_o, p.w_c], axis=1)
     u_all = concat([p.u_i, p.u_f, p.u_o, p.u_c], axis=1)
     b_all = concat([p.b_i, p.b_f, p.b_o, p.b_c], axis=0)
-    return lstm_sequence(rows, w_all, u_all, b_all, batch, reverse)
+    return lstm_sequence(rows, w_all, u_all, b_all, plan)
 
 
 # ---------------------------------------------------------------------------

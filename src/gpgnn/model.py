@@ -12,6 +12,13 @@ and propagation takes every target pair of a sentence at once.  The
 per-pair, per-message loops that define the semantics live in
 ``tests/reference.py``, and the tests pin this module to them.
 
+The E = m(m-1) contexts of a sentence are one token sequence under E marker
+rows, so many share a (token, marker) prefix or suffix.  The encoder's
+BiLSTM runs over a prefix forest of each length group's contexts
+(``autodiff.SequencePlan``, one per direction, shared by every layer's
+encoder) and so computes each distinct prefix's and suffix's state once.
+Its outputs are bit for bit those of running every context apart.
+
 A sentence's graph structure (its m, edges and marker rows) depends only on
 its entity spans, so ``batch_losses`` and ``predict_pairs`` build it afresh
 for each sentence on every call; nothing is kept between calls.  The edge
@@ -29,6 +36,7 @@ import numpy as np
 
 from .autodiff import (
     ACTIVATIONS,
+    SequencePlan,
     ShapeError,
     Tensor,
     _softmax_values,
@@ -154,7 +162,7 @@ class TransitionMatrices:
 
 
 def encode_edge_rows(
-    encoder: EdgeEncoder,
+    encoders: Sequence[EdgeEncoder],
     word_table: EmbeddingTable,
     pos_table: EmbeddingTable,
     word_rows: np.ndarray,
@@ -163,26 +171,32 @@ def encode_edge_rows(
     drop_ratio: float = 0.0,
     rng: np.random.Generator | None = None,
     training: bool = False,
-) -> Tensor:
-    """Run a batch of equal-length contexts through one encoder.  Inputs are
-    (N, l) arrays of token ids and marker ids; returns (N, d_n*d_n) rows in
-    context order."""
+) -> list[Tensor]:
+    """Run a batch of equal-length contexts through each encoder.  Inputs
+    are (N, l) arrays of token ids and marker ids; returns one (N, d_n*d_n)
+    tensor per encoder, rows in context order.
+
+    A context's step is the key ``token_id * 3 + marker``.  The distinct
+    keys become the input rows, and one ``SequencePlan`` per direction over
+    the key ids lets every encoder run its BiLSTM once per distinct prefix
+    (forward) and suffix (backward), not once per context and token."""
     if pos_table.rows != 3:
         raise ConfigError(f"marker table must have exactly 3 rows, got {pos_table.rows}")
-    if encoder.mlp.output_size != d_n * d_n:
-        raise ConfigError(
-            f"encoder MLP emits {encoder.mlp.output_size} values, need d_n^2 = {d_n * d_n}"
-        )
+    for encoder in encoders:
+        if encoder.mlp.output_size != d_n * d_n:
+            raise ConfigError(f"encoder MLP emits {encoder.mlp.output_size} values, need d_n^2 = {d_n * d_n}")
     if word_rows.shape != marker_rows.shape or word_rows.ndim != 2:
         raise ShapeError(f"context id arrays disagree: {word_rows.shape} vs {marker_rows.shape}")
-    n, length = word_rows.shape
-    # time-major layout: row t*n + k is timestep t of context k
-    word = embedding_lookup(word_table, word_rows.T.reshape(-1))
-    pos = embedding_lookup(pos_table, marker_rows.T.reshape(-1))
-    rows = concat([word, pos], axis=1)
-    encoded = bilstm_encode_batch(encoder.lstm_fwd, encoder.lstm_bwd, rows, length=length, batch=n)
-    encoded = dropout(encoded, drop_ratio, rng, training)
-    return mlp_forward(encoder.mlp, encoded, drop_ratio=drop_ratio, rng=rng, training=training)
+    keys, ids = np.unique(word_rows * 3 + marker_rows, return_inverse=True)
+    ids = ids.reshape(word_rows.shape)
+    plans = SequencePlan(ids), SequencePlan(ids, reverse=True)
+    rows = concat([embedding_lookup(word_table, keys // 3), embedding_lookup(pos_table, keys % 3)], axis=1)
+    out = []
+    for encoder in encoders:
+        encoded = bilstm_encode_batch(encoder.lstm_fwd, encoder.lstm_bwd, rows, *plans)
+        encoded = dropout(encoded, drop_ratio, rng, training)
+        out.append(mlp_forward(encoder.mlp, encoded, drop_ratio=drop_ratio, rng=rng, training=training))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +254,7 @@ def propagate_layer(states: Tensor, matrices: Tensor, activation: str) -> Tensor
     if rows % m != 0:
         raise ShapeError(f"{rows} state rows do not split into blocks of {m} nodes")
     # edge order keeps the m-1 edges (i, j) of each node i side by side, as propagate sums them
-    src = np.arange(rows // m, dtype=np.intp)[:, None] * m + message_sources(m)[None, :]
-    return propagate(matrices, states, src.reshape(-1), activation)
+    return propagate(matrices, states, message_sources(m), activation)
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +401,10 @@ def transition_matrices(
         ids = [np.asarray(model.vocab.encode(graphs[idx].sentence.tokens), dtype=np.intp) for idx in group]
         word_rows = np.concatenate([np.tile(row, (len(graphs[idx].edges), 1)) for idx, row in zip(group, ids)])
         marker_rows = np.concatenate([graphs[idx].markers for idx in group])
-        flat_layers = [
-            encode_edge_rows(
-                enc, model.word_table, model.pos_table, word_rows, marker_rows, d,
-                drop_ratio=model.dims.dropout, rng=rng, training=training,
-            )
-            for enc in model.encoders
-        ]
+        flat_layers = encode_edge_rows(
+            model.encoders, model.word_table, model.pos_table, word_rows, marker_rows, d,
+            drop_ratio=model.dims.dropout, rng=rng, training=training,
+        )
         off = 0
         for idx in group:
             n_edges = len(graphs[idx].edges)
@@ -419,10 +429,14 @@ def batch_losses(
     """Per-sentence loss scalars over a batch of sentences."""
     graphs = [build_entity_graph(s) for s in sentences]
     matrices = transition_matrices(model, graphs, training, rng)
-    return [
-        _loss_from_matrices(model, graph, mats, training=training, rng=rng, na_weight=na_weight)
-        for graph, mats in zip(graphs, matrices)
-    ]
+    losses = []
+    for graph, mats in zip(graphs, matrices):
+        try:
+            losses.append(_loss_from_matrices(model, graph, mats, training=training, rng=rng,
+                                              na_weight=na_weight))
+        except FloatingPointError as exc:  # only under a raising np.errstate, as in training
+            raise FloatingPointError(f"sentence {graph.sentence.id!r}: {exc}") from None
+    return losses
 
 
 def predict_pairs(model: GpGnn, sentences: Sequence[Sentence]) -> list[PredictionRecord]:

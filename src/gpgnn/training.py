@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -166,7 +167,9 @@ def adam_step(state: OptimizerState, store: ParameterStore, lr: float) -> None:
         m += (1.0 - BETA1) * g
         v *= BETA2
         v += (1.0 - BETA2) * g * g
-        p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
+        # an update that overflows is reported by the check below, by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
         if not np.isfinite(p.data).all():
             raise TrainingError(f"parameter {name!r} is not finite after optimizer step {state.step}")
         p.zero_grad()
@@ -221,6 +224,9 @@ def run_training(
     to drive an overfit check).  Aborts on a non-finite loss, naming the
     offending sentence, and on a step that leaves a weight non-finite,
     naming the parameter, before any validation pass or checkpoint sees it.
+    Every step and validation pass runs with numpy's overflow, invalid-value
+    and divide-by-zero signals raised, so the first non-finite intermediate
+    aborts the run there, naming the phase and the epoch.
     """
     if not train:
         raise TrainingError("empty training set")
@@ -261,24 +267,26 @@ def run_training(
             epoch_loss = 0.0
             for start in range(0, len(order), config.batch_size):
                 batch = [train[i] for i in order[start : start + config.batch_size]]
-                losses = batch_losses(model, batch, training=True, rng=rngs["dropout"],
-                                      na_weight=config.na_weight)
-                for sentence, loss in zip(batch, losses):
-                    if not np.isfinite(loss.data):
-                        raise TrainingError(
-                            f"non-finite loss {loss.data!r} on sentence {sentence.id!r} at epoch {epoch}"
-                        )
-                stacked = concat([reshape(l, (1,)) for l in losses], axis=0)
-                mean_loss = scale(reduce_sum(stacked), 1.0 / len(batch))
-                model.store.zero_grads()
-                backward(mean_loss)
-                clip_gradients(model.store, config.clip_norm)
-                adam_step(opt, model.store, config.learning_rate)
+                with _first_overflow(f"training step {opt.step + 1}", epoch):
+                    losses = batch_losses(model, batch, training=True, rng=rngs["dropout"],
+                                          na_weight=config.na_weight)
+                    for sentence, loss in zip(batch, losses):
+                        if not np.isfinite(loss.data):
+                            raise TrainingError(
+                                f"non-finite loss {loss.data!r} on sentence {sentence.id!r} at epoch {epoch}"
+                            )
+                    stacked = concat([reshape(l, (1,)) for l in losses], axis=0)
+                    mean_loss = scale(reduce_sum(stacked), 1.0 / len(batch))
+                    model.store.zero_grads()
+                    backward(mean_loss)
+                    clip_gradients(model.store, config.clip_norm)
+                    adam_step(opt, model.store, config.learning_rate)
                 epoch_loss += mean_loss.item() * len(batch)
             train_loss = epoch_loss / len(train)
             emit({"event": "epoch", "epoch": epoch, "split": "train", "loss": train_loss})
 
-            metrics = evaluate_split(model, valid)
+            with _first_overflow("validation", epoch):
+                metrics = evaluate_split(model, valid)
             emit({
                 "event": "epoch", "epoch": epoch, "split": "valid",
                 "acc": metrics["accuracy"], "macro_f1": metrics["macro_f1"],
@@ -309,6 +317,18 @@ def run_training(
         if log_fh is not None:
             log_fh.close()
     return best
+
+
+@contextmanager
+def _first_overflow(phase: str, epoch: int):
+    """Raise numpy's overflow, invalid-value and divide-by-zero signals in
+    the block, so the first non-finite intermediate stops training there as
+    a TrainingError naming the phase and the epoch."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise TrainingError(f"{phase} at epoch {epoch}: {exc}") from None
 
 
 def evaluate_split(model: GpGnn, sentences: Sequence[Sentence]) -> dict:

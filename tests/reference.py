@@ -23,8 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from gpgnn.autodiff import (
+    ACTIVATIONS,
+    SequencePlan,
     ShapeError,
     Tensor,
+    _matmul_rows,
+    _result,
     _softmax_values,
     add,
     add_bias,
@@ -156,6 +160,62 @@ def bilstm_encode(fwd: LstmParams, bwd: LstmParams, seq: Tensor) -> Tensor:
         return h
 
     return concat([run(fwd, range(length)), run(bwd, range(length - 1, -1, -1))], axis=0)
+
+
+def dense_plans(length: int, batch: int) -> tuple[SequencePlan, SequencePlan]:
+    """Both direction plans of ``batch`` sequences over time-major rows, row
+    t*batch + k being timestep t of sequence k, with nothing shared: the
+    dense batch."""
+    ids = np.arange(length * batch).reshape(length, batch).T
+    return SequencePlan(ids), SequencePlan(ids, reverse=True)
+
+
+def dense_lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, batch: int, reverse: bool = False) -> Tensor:
+    """``lstm_sequence`` as a dense batch: every sequence steps through every
+    timestep, with no state shared between sequences.  ``x`` holds
+    time-major rows, row t*batch + k being timestep t of sequence k; returns
+    the final (batch, H) hidden state as one tape record whose rule is
+    backpropagation through time, one timestep at a time.  Products go
+    through ``_matmul_rows``, so a one-row batch rounds as a taller one."""
+    if x.ndim != 2 or batch < 1 or x.shape[0] == 0 or x.shape[0] % batch != 0:
+        raise ShapeError(f"dense_lstm_sequence needs a nonempty multiple of {batch} time-major rows, got {x.shape}")
+    hd = u.shape[0]
+    xd, wd, ud = x.data, w.data, u.data
+    sigmoid_values, sigmoid_rule = ACTIVATIONS["sigmoid"]
+    tanh_rule = ACTIVATIONS["tanh"][1]
+    times = range(x.shape[0] // batch)
+    blocks = [slice(t * batch, (t + 1) * batch) for t in (reversed(times) if reverse else times)]
+    h = c = np.zeros((batch, hd))
+    saved = []
+    for rows in blocks:
+        z = (_matmul_rows(xd[rows], wd) + _matmul_rows(h, ud)) + b.data
+        i = sigmoid_values(z[:, :hd])
+        f = sigmoid_values(z[:, hd : 2 * hd])
+        o = sigmoid_values(z[:, 2 * hd : 3 * hd])
+        g = np.tanh(z[:, 3 * hd :])
+        cp = c
+        c = f * cp + i * g
+        tc = np.tanh(c)
+        saved.append((h, cp, i, f, o, g, tc))
+        h = o * tc
+
+    def rule(gy: np.ndarray):
+        gx = np.empty_like(xd)
+        gw, gu, gb = np.zeros_like(wd), np.zeros_like(ud), np.zeros_like(b.data)
+        gh, gc = gy, np.zeros_like(gy)
+        for rows, (hp, cp, i, f, o, g, tc) in zip(reversed(blocks), reversed(saved)):
+            gc = gc + tanh_rule(gh * o, tc)
+            gz = np.concatenate([sigmoid_rule(gc * g, i), sigmoid_rule(gc * cp, f),
+                                 sigmoid_rule(gh * tc, o), tanh_rule(gc * i, g)], axis=1)
+            gw += xd[rows].T @ gz
+            gu += hp.T @ gz
+            gb += gz.sum(axis=0)
+            gx[rows] = gz @ wd.T
+            gh = gz @ ud.T
+            gc = gc * f
+        return gx, gw, gu, gb
+
+    return _result(h, (x, w, u, b), rule)
 
 
 # ---------------------------------------------------------------------------

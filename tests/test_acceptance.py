@@ -81,20 +81,22 @@ def test_criterion_1_gradient_oracle():
         "dropout": (
             lambda x: ad.reduce_sum(ad.dropout(x, 0.5, np.random.default_rng(0), True)), u(6, 4)),
     }
-    # lstm_sequence over batch 2, 3 timesteps, D=3, H=2, against each operand
+    # lstm_sequence over 4 sequences of 3 timesteps, D=3, H=2, against each
+    # operand; the plans share nodes at the root, inside and at the last level
     lstm_args = {"x": u(6, 3), "w": u(3, 8), "u": u(2, 8), "b": u(8)}
+    ids = np.array([[0, 1, 2], [0, 1, 3], [4, 5, 2], [0, 1, 2]])
     for reverse in (False, True):
         for wrt in lstm_args:
-            def lstm_loss(p, wrt=wrt, reverse=reverse, c=Tensor(u(2, 2)),
+            def lstm_loss(p, wrt=wrt, plan=ad.SequencePlan(ids, reverse), c=Tensor(u(4, 2)),
                           fixed={k: Tensor(v) for k, v in lstm_args.items()}):
                 a = {**fixed, wrt: p}
-                return ad.reduce_sum(ad.mul(ad.lstm_sequence(a["x"], a["w"], a["u"], a["b"], 2, reverse), c))
+                return ad.reduce_sum(ad.mul(ad.lstm_sequence(a["x"], a["w"], a["u"], a["b"], plan), c))
 
             checks[f"lstm_sequence_{'reverse' if reverse else 'forward'}_{wrt}"] = (lstm_loss, lstm_args[wrt])
     # propagate over 2 blocks of m=3 nodes, d=2, against each operand; the
     # relu pre-activations of these points lie more than 0.05 from the kink
     prop_args = {"matrices": u(6, 2, 2), "states": u(6, 2)}
-    sources = (np.arange(2)[:, None] * 3 + message_sources(3)).reshape(-1)
+    sources = message_sources(3)
     for act in ("relu", "tanh", "sigmoid"):
         for wrt in prop_args:
             def prop_loss(p, wrt=wrt, act=act, c=Tensor(u(6, 2)),

@@ -201,10 +201,27 @@ def test_numeric_failure_exit_code_from_training(tmp_path, synth_dir):
     assert code == EXIT_NUMERIC
 
 
-def test_non_finite_weights_stop_training_before_validation(tmp_path, synth_dir, capsys):
-    """One batch per epoch at lr 1e300: the step that leaves a weight NaN
-    stops the run before a validation pass or a checkpoint sees it."""
+def test_first_overflow_stops_training_at_epoch_0(tmp_path, synth_dir, capsys):
+    """One batch per epoch at lr 1e300: the first step leaves every weight
+    finite but near 1e300, and the validation pass of epoch 0 overflows.
+    That overflow stops the run, before any checkpoint is written."""
     cfg = write_config(tmp_path, learning_rate=1e300, clip_norm=0.0, batch_size=12, epochs=3)
+    run = tmp_path / "run"
+    capsys.readouterr()
+    code = main(["train", "--train", str(synth_dir / "train.jsonl"),
+                 "--valid", str(synth_dir / "valid.jsonl"),
+                 "--relations", str(synth_dir / "relations.json"),
+                 "--config", str(cfg), "--out", str(run)])
+    assert code == EXIT_NUMERIC
+    assert re.match(r"numeric failure: validation at epoch 0: overflow", capsys.readouterr().err)
+    assert not (run / "checkpoint.bin").exists()
+
+
+def test_non_finite_weights_stop_training_before_validation(tmp_path, synth_dir, capsys):
+    """One batch per epoch at lr 1e308: the first optimizer update overflows,
+    and the step that leaves a weight non-finite stops the run before a
+    validation pass or a checkpoint sees it."""
+    cfg = write_config(tmp_path, learning_rate=1e308, clip_norm=0.0, batch_size=12, epochs=3)
     run = tmp_path / "run"
     capsys.readouterr()
     with np.errstate(all="ignore"):

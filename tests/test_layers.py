@@ -20,7 +20,7 @@ from gpgnn.layers import (
     save_checkpoint,
 )
 
-from reference import bilstm_encode, lstm_step, mlp_vector
+from reference import bilstm_encode, dense_plans, lstm_step, mlp_vector
 
 
 def zero_lstm(d, h):
@@ -203,7 +203,7 @@ def test_fused_direction_matches_stepped_lstm(rng):
     p = LstmParams.create(3, 4, rng)
     seq = rng.uniform(-1, 1, (6, 3))
     for reverse, order in ((False, range(6)), (True, range(5, -1, -1))):
-        fused = _run_direction(p, Tensor(seq), batch=1, reverse=reverse).data[0]
+        fused = _run_direction(p, Tensor(seq), dense_plans(6, 1)[reverse]).data[0]
         h = c = Tensor(np.zeros(4))
         for t in order:
             h, c = lstm_step(p, Tensor(seq[t]), h, c)
@@ -228,7 +228,7 @@ def test_bilstm_gradients_match_stepped_lstm(rng, length):
         ad.backward(loss)
         return [t.grad.copy() for t in params + [rows]]
 
-    batched = bilstm_encode_batch(fwd, bwd, rows, length=length, batch=batch)
+    batched = bilstm_encode_batch(fwd, bwd, rows, *dense_plans(length, batch))
     fused = grads(ad.reduce_sum(ad.mul(batched, Tensor(weights))))
     parts = []
     for b in range(batch):
@@ -247,7 +247,7 @@ def test_bilstm_batch_matches_per_sequence(rng):
     rows = np.empty((length * batch, 3))
     for t in range(length):
         rows[t * batch : (t + 1) * batch] = seqs[:, t, :]
-    batched = bilstm_encode_batch(fwd, bwd, Tensor(rows), length=length, batch=batch).data
+    batched = bilstm_encode_batch(fwd, bwd, Tensor(rows), *dense_plans(length, batch)).data
     for b in range(batch):
         single = bilstm_encode(fwd, bwd, Tensor(seqs[b])).data
         np.testing.assert_allclose(batched[b], single, atol=1e-12)

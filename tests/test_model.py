@@ -32,6 +32,7 @@ from conftest import (
 )
 from reference import (
     bilstm_encode,
+    dense_plans,
     classify_pair,
     edge_markers,
     edge_row,
@@ -153,7 +154,7 @@ def test_edge_context_requires_three_marker_rows(rng):
     marks = build_entity_graph(s).markers
     words = np.ones_like(marks)
     with pytest.raises(ConfigError, match="3 rows"):
-        encode_edge_rows(model.encoders[0], model.word_table, bad, words, marks, model.dims.d_n)
+        encode_edge_rows([model.encoders[0]], model.word_table, bad, words, marks, model.dims.d_n)
 
 
 def test_multi_token_mention_marks_whole_span():
@@ -225,7 +226,7 @@ def test_encoder_output_width_must_be_d_n_squared():
     marks = build_entity_graph(s).markers
     words = np.ones_like(marks)
     with pytest.raises(ConfigError, match="d_n"):
-        encode_edge_rows(model.encoders[0], model.word_table, model.pos_table, words, marks, d_n=6)
+        encode_edge_rows([model.encoders[0]], model.word_table, model.pos_table, words, marks, d_n=6)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +312,7 @@ def test_tape_shape_of_encoder_and_propagation(rng):
     counts = []
     for length in (2, 12):
         rows = Tensor(rng.uniform(-1, 1, (length * 5, 3)), requires_grad=True)
-        counts.append(len(_recorded(bilstm_encode_batch(fwd, bwd, rows, length=length, batch=5))))
+        counts.append(len(_recorded(bilstm_encode_batch(fwd, bwd, rows, *dense_plans(length, 5)))))
     assert counts[0] == counts[1]
 
     m, d = 4, 3
@@ -321,7 +322,7 @@ def test_tape_shape_of_encoder_and_propagation(rng):
         out = propagate_layer(states, mats, "tanh")
         assert _recorded(out) == [out]
 
-    encoded = bilstm_encode_batch(fwd, bwd, rows, length=12, batch=5)
+    encoded = bilstm_encode_batch(fwd, bwd, rows, *dense_plans(12, 5))
     loss = ad.add(ad.reduce_sum(out), ad.reduce_sum(encoded))
     ad.backward(loss)
     tape = _recorded(loss)

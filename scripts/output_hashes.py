@@ -16,6 +16,10 @@ trains nothing, and evaluates and predicts with the corpora and trained run
 directories that a run of this script (in any checkout) left in
 PARENT_OUT, printing only those hashes.  Two checkouts whose training
 rounds differently can still be shown to evaluate one model identically.
+A change at the rounding level moves every hash, so for each case and each
+``predictions.jsonl`` it writes, this mode also prints, under ``diff``, the
+largest |p - p_parent| over every record's probabilities against the same
+file in PARENT_OUT, and the number of records whose argmax differs.
 
 Run:  PYTHONPATH=src python3 scripts/output_hashes.py OUT_DIR [--models PARENT_OUT]
 """
@@ -37,6 +41,7 @@ import json  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
 from gpgnn.cli import EXIT_OK, main  # noqa: E402
 
 # the depth experiment's model (scripts/depth_experiment.py) at lr 0.002
@@ -89,6 +94,20 @@ def train_case(out: Path, synth_flags: list[str], config: dict) -> dict[str, str
             "run_log.jsonl": sha256(run_dir / "run_log.jsonl", drop_wall_ms=True)}
 
 
+def prob_diff(path: Path, parent: Path) -> dict[str, float | int]:
+    """The largest absolute probability difference between two
+    ``predictions.jsonl`` files of the same pairs, and how many records'
+    argmax differs."""
+    def probs(p: Path) -> np.ndarray:
+        return np.array([json.loads(line)["probs"] for line in p.read_text(encoding="utf-8").splitlines()])
+
+    ours, theirs = probs(path), probs(parent)
+    if ours.shape != theirs.shape:
+        sys.exit(f"{path} holds {ours.shape} probabilities, {parent} {theirs.shape}")
+    return {"max_abs_dprob": float(np.abs(ours - theirs).max(initial=0.0)),
+            "argmax_changes": int((ours.argmax(axis=1) != theirs.argmax(axis=1)).sum())}
+
+
 def eval_case(case: Path, out: Path) -> dict[str, str | None]:
     """Evaluate and predict with the run under ``case`` on its test split,
     writing under ``out``; hash what they write."""
@@ -124,5 +143,10 @@ if __name__ == "__main__":
         if args.models is None:
             hashes[name] = {**train_case(root / name, flags, cfg), **eval_case(root / name, root / name)}
         else:
-            hashes[name] = eval_case(Path(args.models) / name, root / name)
+            parent = Path(args.models) / name
+            hashes[name] = eval_case(parent, root / name)
+            hashes[name]["diff"] = {
+                run: prob_diff(root / name / run / "predictions.jsonl", parent / run / "predictions.jsonl")
+                for run in ("eval-predictions", "eval-gold-size", "predict")
+            }
     print(json.dumps(hashes, indent=1, sort_keys=True))

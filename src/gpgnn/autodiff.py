@@ -12,7 +12,10 @@ and one ``propagate`` record a whole message-passing layer.  The LSTM runs
 over a ``SequencePlan``, the prefix forest of its batch's sequences, so a
 prefix that several sequences share is computed once; a plan that shares
 nothing is the dense batch.  Each activation's values and derivative are
-written once, in ``ACTIVATIONS``.
+written once, in ``ACTIVATIONS``.  The sigmoid is 0.5 * tanh(0.5 * x) + 0.5,
+one tanh pass that never overflows, within 2**-52 (absolute) of
+1 / (1 + exp(-x)); the same identity lets ``lstm_sequence`` take all four
+LSTM gates of a step from one tanh.
 
 Everything is float64 on purpose: the models built on top are desk-scale, and
 exact arithmetic is what makes the central-difference oracle in ``grad_check``
@@ -173,9 +176,13 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    # exp of -|x| only, so no branch exponentiates a large positive number
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # sigma(x) = (1 + tanh(x/2)) / 2: one pass of tanh, which never
+    # overflows, and halving is exact, so ``lstm_sequence`` can take all
+    # four gates from one tanh
+    y = np.tanh(0.5 * x)
+    y *= 0.5
+    y += 0.5
+    return y
 
 
 # name -> (values(x), rule(g, y)): each derivative is written in terms of
@@ -338,9 +345,9 @@ class SequencePlan:
     in the level before; all 0 at the root level) and ``children`` (the
     sums over each parent's children; None at the root level).  ``final``
     maps each sequence to its node in the last level, and ``final_sums``
-    sums over each last-level node's sequences.  ``input_order``,
-    ``input_runs`` and ``input_rows`` group all nodes by input row for
-    ``np.add.reduceat``.
+    sums over each last-level node's sequences.  ``node_inputs`` is every
+    node's row id, level by level; ``input_order``, ``input_runs`` and
+    ``input_rows`` group the nodes by input row for ``np.add.reduceat``.
     """
 
     def __init__(self, ids, reverse: bool = False):
@@ -363,9 +370,9 @@ class SequencePlan:
         self.final = np.empty_like(order)
         self.final[order] = node[:, -1]
         self.final_sums = _ChildSums(node[:, -1], order)
-        every = np.concatenate(self.inputs)
-        self.input_order = np.argsort(every, kind="stable")
-        by_input = every[self.input_order]
+        self.node_inputs = np.concatenate(self.inputs)
+        self.input_order = np.argsort(self.node_inputs, kind="stable")
+        by_input = self.node_inputs[self.input_order]
         self.input_runs = np.flatnonzero(np.diff(by_input, prepend=-1))
         self.input_rows = by_input[self.input_runs]
 
@@ -375,7 +382,7 @@ class SequencePlan:
 
     @property
     def nodes(self) -> int:
-        return self.input_order.size
+        return self.node_inputs.size
 
 
 def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, plan: SequencePlan) -> Tensor:
@@ -388,7 +395,16 @@ def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, plan: SequencePlan
     no ``h @ u`` at the root level, whose parent state is zero.  Returns each
     sequence's final (N, H) hidden state in sequence order as one tape
     record.  Its rule is backpropagation through time over the nodes: a
-    parent's state gradients are the sums of its children's.
+    parent's state gradients are the sums of its children's.  The input
+    gradients come from one product over all nodes, whose x rows are then
+    summed per input row.
+
+    The gates take one tanh.  sigma(z) = 0.5 * tanh(0.5 * z) + 0.5, and
+    halving a float is exact, so with the i, f and o columns of ``w``,
+    ``u`` and ``b`` halved once per call, those columns of z come out as
+    exactly 0.5 * z: one ``tanh`` over each level's whole (n, 4H) block,
+    then ``* 0.5 + 0.5`` on its first 3H columns, gives the three gates bit
+    for bit as ``ACTIVATIONS["sigmoid"]`` would, and the candidate.
 
     Sharing a state between sequences is exact because nothing random (no
     dropout) touches the inputs or the states: a node's state is a function
@@ -400,19 +416,24 @@ def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, plan: SequencePlan
     if w.shape != (x.shape[1], 4 * hd) or u.shape != (hd, 4 * hd) or b.shape != (4 * hd,):
         raise ShapeError(f"lstm_sequence gate blocks {w.shape}/{u.shape}/{b.shape} do not fit rows {x.shape}")
     xd, wd, ud = x.data, w.data, u.data
-    sigmoid_values, sigmoid_rule = ACTIVATIONS["sigmoid"]
+    sigmoid_rule = ACTIVATIONS["sigmoid"][1]
     tanh_rule = ACTIVATIONS["tanh"][1]
-    xw = _matmul_rows(xd, wd)
+    half = np.ones(4 * hd)
+    half[: 3 * hd] = 0.5
+    xw = _matmul_rows(xd, wd * half)
+    u_half, b_half = ud * half, b.data * half
     saved = []
     h = c = None
     for inputs, parents in zip(plan.inputs, plan.parents):
         z = xw[inputs]
         if h is not None:
-            z += _matmul_rows(h, ud)[parents]
-        z += b.data
-        ifo = sigmoid_values(z[:, : 3 * hd])
+            z += _matmul_rows(h, u_half)[parents]
+        z += b_half
+        np.tanh(z, out=z)
+        ifo, g = z[:, : 3 * hd], z[:, 3 * hd :]
+        ifo *= 0.5
+        ifo += 0.5
         i, f, o = ifo[:, :hd], ifo[:, hd : 2 * hd], ifo[:, 2 * hd :]
-        g = np.tanh(z[:, 3 * hd :])
         cp = None if c is None else c[parents]
         c = i * g if cp is None else f * cp + i * g
         tc = np.tanh(c)
@@ -438,10 +459,9 @@ def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, plan: SequencePlan
                 gu += hp.T @ gz
                 gh = gz @ ud.T
                 gc = children(gc * f)
-        # one row of summed gate gradients per input row
-        gzx = np.zeros((xd.shape[0], 4 * hd))
-        gzx[plan.input_rows] = np.add.reduceat(gz_all[plan.input_order], plan.input_runs)
-        return gzx @ wd.T, xd.T @ gzx, gu, gzx.sum(axis=0)
+        gx = np.zeros_like(xd)
+        gx[plan.input_rows] = np.add.reduceat((gz_all @ wd.T)[plan.input_order], plan.input_runs)
+        return gx, xd[plan.node_inputs].T @ gz_all, gu, gz_all.sum(axis=0)
 
     return _result(h[plan.final], (x, w, u, b), rule)
 

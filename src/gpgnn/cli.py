@@ -40,7 +40,7 @@ from .evaluation import (
     write_predictions,
 )
 from .gradcheck import full_model_gradcheck
-from .layers import CheckpointError
+from .layers import CheckpointError, atomic_write
 from .model import ConfigError, GpGnn, predict_pairs
 from .synth import SynthSpec, synthesize_multihop_corpus
 from .training import SUB_SEEDS, TrainConfig, TrainingError, build_model, named_rngs, run_training
@@ -169,7 +169,10 @@ def _parse_mid_tokens(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _write_manifest(out_dir: Path, command: str, argv, seed, inputs, outputs, counts, config=None):
+def _write_manifest(out_dir: Path, command: str, argv, seed, inputs, outputs, counts, config=None, read=None):
+    """``read`` maps an input path to the SHA-256 of the bytes the command
+    already read from it; every other input is hashed here."""
+    read = read or {}
     manifest = {
         "command": command,
         "argv": list(argv),
@@ -177,7 +180,7 @@ def _write_manifest(out_dir: Path, command: str, argv, seed, inputs, outputs, co
         "numpy_version": np.__version__,
         "seed": seed,
         "sub_seeds": list(SUB_SEEDS),
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): read.get(str(p)) or _sha256(p) for p in inputs},
         "outputs": sorted(str(Path(o).name) for o in outputs),
         "counts": counts,
     }
@@ -340,8 +343,8 @@ def _write_model_json(path, config: TrainConfig, vocab: Vocabulary, relations: R
         "relations": relations.names,
         "inverse": relations.inverse,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, ensure_ascii=False, sort_keys=True, indent=2)
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -349,9 +352,11 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
-def load_trained_model(model_dir) -> tuple[GpGnn, TrainConfig, RelationVocab]:
-    """The model ``gpgnn train`` wrote to ``model_dir``.  A malformed
-    ``model.json`` is a data error naming that file."""
+def load_trained_model(model_dir) -> tuple[GpGnn, TrainConfig, RelationVocab, str]:
+    """The model ``gpgnn train`` wrote to ``model_dir``, its config and
+    relations, and the SHA-256 of the checkpoint bytes it read.  The model
+    is built with no initial draws, then filled from ``checkpoint.bin``.  A
+    malformed ``model.json`` is a data error naming that file."""
     model_dir = Path(model_dir)
     path = model_dir / "model.json"
     with open(path, "r", encoding="utf-8") as fh:
@@ -372,13 +377,13 @@ def load_trained_model(model_dir) -> tuple[GpGnn, TrainConfig, RelationVocab]:
         relations = RelationVocab(obj["relations"], inverse)
     except (ConfigError, CorpusError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
-    model = build_model(config, vocab, relations)
-    model.store.load(model_dir / "checkpoint.bin")
-    return model, config, relations
+    model = GpGnn(config.model_dims(), vocab, relations, None)
+    checkpoint_sha256 = model.store.load(model_dir / "checkpoint.bin")
+    return model, config, relations, checkpoint_sha256
 
 
 def cmd_eval(args, argv) -> int:
-    model, config, relations = load_trained_model(args.model_dir)
+    model, config, relations, checkpoint_sha256 = load_trained_model(args.model_dir)
     data, skips = _load_split(args.data, relations)
     records = predict_pairs(model, data)
     report, ranked = metrics_report(records, relations, population=args.population)
@@ -391,23 +396,25 @@ def cmd_eval(args, argv) -> int:
     if ranked is not None:
         write_pr_csv(out / "pr_curve.csv", ranked, report["counts"]["gold_facts"])
         outputs.append("pr_curve.csv")
-    inputs = [args.data, Path(args.model_dir) / "model.json", Path(args.model_dir) / "checkpoint.bin"]
-    _write_manifest(out, "eval", argv, config.seed, inputs, outputs,
-                    {"records": len(records), "skips": skips}, config=config.to_dict())
+    checkpoint = Path(args.model_dir) / "checkpoint.bin"
+    inputs = [args.data, Path(args.model_dir) / "model.json", checkpoint]
+    _write_manifest(out, "eval", argv, config.seed, inputs, outputs, {"records": len(records), "skips": skips},
+                    config=config.to_dict(), read={str(checkpoint): checkpoint_sha256})
     print(json.dumps({"accuracy": report["accuracy"], "macro_f1": report["macro_f1"]}, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_predict(args, argv) -> int:
-    model, config, relations = load_trained_model(args.model_dir)
+    model, config, relations, checkpoint_sha256 = load_trained_model(args.model_dir)
     data, skips = _load_split(args.data, relations)
     records = predict_pairs(model, data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_predictions(out / "predictions.jsonl", records)
-    inputs = [args.data, Path(args.model_dir) / "model.json", Path(args.model_dir) / "checkpoint.bin"]
+    checkpoint = Path(args.model_dir) / "checkpoint.bin"
+    inputs = [args.data, Path(args.model_dir) / "model.json", checkpoint]
     _write_manifest(out, "predict", argv, config.seed, inputs, ["predictions.jsonl"],
-                    {"records": len(records), "skips": skips})
+                    {"records": len(records), "skips": skips}, read={str(checkpoint): checkpoint_sha256})
     print(json.dumps({"records": len(records)}, sort_keys=True))
     return EXIT_OK
 

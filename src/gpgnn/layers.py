@@ -4,14 +4,18 @@ perceptrons, and a named parameter store with a binary checkpoint format.
 
 All weights initialize uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)], which
 keeps activations in a range where the finite-difference oracle is sharp.
+Without a generator (``rng=None``) they start at zero and nothing is drawn:
+that is the structure a checkpoint then fills.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -42,7 +46,9 @@ PAD_ROW = 0
 UNK_ROW = 1
 
 
-def uniform_init(rng: np.random.Generator, shape: Sequence[int], fan_in: int) -> Tensor:
+def uniform_init(rng: np.random.Generator | None, shape: Sequence[int], fan_in: int) -> Tensor:
+    if rng is None:
+        return Tensor(np.zeros(tuple(shape)), requires_grad=True)
     bound = 1.0 / np.sqrt(float(fan_in))
     return Tensor(rng.uniform(-bound, bound, size=tuple(shape)), requires_grad=True)
 
@@ -76,14 +82,13 @@ class EmbeddingTable:
         cls,
         rows: int,
         dim: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         reserved: bool = True,
     ) -> "EmbeddingTable":
-        bound = 1.0 / np.sqrt(float(dim))
-        w = rng.uniform(-bound, bound, size=(rows, dim))
+        w = uniform_init(rng, (rows, dim), dim)
         if reserved:
-            w[PAD_ROW] = 0.0
-        return cls(Tensor(w, requires_grad=True))
+            w.data[PAD_ROW] = 0.0
+        return cls(w)
 
 
 def embedding_lookup(table: EmbeddingTable, indices) -> Tensor:
@@ -119,7 +124,7 @@ class LstmParams:
     b_c: Tensor
 
     @classmethod
-    def create(cls, input_size: int, hidden_size: int, rng: np.random.Generator) -> "LstmParams":
+    def create(cls, input_size: int, hidden_size: int, rng: np.random.Generator | None) -> "LstmParams":
         def w() -> Tensor:
             return uniform_init(rng, (input_size, hidden_size), input_size)
 
@@ -188,7 +193,7 @@ class MlpParams:
         return self.weights[-1].shape[1]
 
     @classmethod
-    def create(cls, sizes: Sequence[int], activation: str, rng: np.random.Generator) -> "MlpParams":
+    def create(cls, sizes: Sequence[int], activation: str, rng: np.random.Generator | None) -> "MlpParams":
         if len(sizes) < 2:
             raise ValueError(f"an MLP needs at least input and output widths, got {sizes}")
         ws, bs = [], []
@@ -264,8 +269,10 @@ class ParameterStore:
     def save(self, path) -> None:
         save_checkpoint(path, dict(self._params))
 
-    def load(self, path) -> None:
-        arrays = load_checkpoint(path)
+    def load(self, path) -> str:
+        """Set every parameter to its tensor in the checkpoint at ``path``;
+        returns the SHA-256 hex digest of the file's bytes."""
+        arrays, digest = load_checkpoint(path)
         missing = sorted(set(self._params) - set(arrays))
         extra = sorted(set(arrays) - set(self._params))
         if missing or extra:
@@ -276,14 +283,33 @@ class ParameterStore:
                 raise CheckpointError(f"{path}: checkpoint shape for {name!r}: {arr.shape} vs {tensor.shape}")
             tensor.data = arr
             tensor.zero_grad()
+        return digest
+
+
+@contextmanager
+def atomic_write(path, mode: str = "wb", **kwargs):
+    """A file open for writing under a temporary name beside ``path``,
+    which replaces ``path`` when the block ends.  If the block raises, the
+    temporary file is removed and any previous file at ``path`` is left as
+    it was.  No ``fsync``: this guards against a failed write, not a crash
+    of the host."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_checkpoint(path, tensors: dict[str, Tensor]) -> None:
     """Write a name-sorted flat binary of little-endian float64 values behind
     a length-prefixed JSON header mapping name -> shape and byte offset.
 
-    The bytes go to a temporary file beside ``path`` that then replaces it,
-    so a write that fails leaves any previous checkpoint as it was."""
+    The bytes go through ``atomic_write``, so a write that fails leaves any
+    previous checkpoint as it was."""
     names = sorted(tensors)
     entries: dict[str, dict] = {}
     offset = 0
@@ -292,50 +318,62 @@ def save_checkpoint(path, tensors: dict[str, Tensor]) -> None:
         entries[name] = {"shape": list(shape), "offset": offset}
         offset += 8 * math.prod(shape)
     header = json.dumps({"version": CHECKPOINT_VERSION, "tensors": entries}, sort_keys=True).encode()
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(struct.pack("<Q", len(header)))
-            fh.write(header)
-            for name in names:
-                fh.write(np.ascontiguousarray(tensors[name].data, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(struct.pack("<Q", len(header)))
+        fh.write(header)
+        for name in names:
+            fh.write(np.ascontiguousarray(tensors[name].data, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a file that ``save_checkpoint`` wrote.  A short file, a
-    malformed header or a tensor whose bytes lie outside the data is a
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
+    """Read a file that ``save_checkpoint`` wrote, in one pass: the tensors
+    by name, and the SHA-256 hex digest of the bytes read.
+
+    The length prefix is checked against the file's size before anything is
+    allocated.  The data then goes by one ``readinto`` into one float64
+    array, and every tensor is a writable view of it: aligned to 8 bytes,
+    because numpy's matmul skips BLAS for an unaligned operand, and copied
+    nowhere.  A short file, a malformed header, or a tensor whose bytes lie
+    outside the data, off the 8-byte grid or over another tensor's is a
     CheckpointError naming the path."""
     with open(path, "rb") as fh:
-        raw = memoryview(fh.read())
-    if len(raw) < 8:
-        raise CheckpointError(f"{path}: {len(raw)} bytes, too short for the 8-byte header length")
-    (hlen,) = struct.unpack_from("<Q", raw)
-    if hlen > len(raw) - 8:
-        raise CheckpointError(f"{path}: header of {hlen} bytes runs past the end of the file")
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(8)
+        if len(prefix) < 8:
+            raise CheckpointError(f"{path}: {len(prefix)} bytes, too short for the 8-byte header length")
+        (hlen,) = struct.unpack("<Q", prefix)
+        if hlen > size - 8:
+            raise CheckpointError(f"{path}: header of {hlen} bytes runs past the end of the file")
+        raw_header = fh.read(hlen)
+        nbytes = size - 8 - hlen
+        data = np.empty(-(-nbytes // 8), dtype="<f8")
+        data_bytes = data.view(np.uint8)[:nbytes]
+        got = fh.readinto(data_bytes)
+    if len(raw_header) != hlen or got != nbytes:
+        raise CheckpointError(f"{path}: the file ended early while it was read")
+    digest = hashlib.sha256(prefix + raw_header)
+    digest.update(data_bytes)
     try:
-        header = json.loads(bytes(raw[8 : 8 + hlen]).decode())
+        header = json.loads(raw_header.decode())
         version = header.get("version")
         entries = {
             name: (tuple(int(n) for n in e["shape"]), int(e["offset"]))
             for name, e in header["tensors"].items()
         }
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint header: {exc!r}") from None
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
-    data = raw[8 + hlen :]
     arrays: dict[str, np.ndarray] = {}
-    for name, (shape, start) in entries.items():
-        count = int(np.prod(shape, dtype=np.int64))
-        if start < 0 or min(shape, default=0) < 0 or start + 8 * count > len(data):
+    end = 0
+    for start, name in sorted((start, name) for name, (_shape, start) in entries.items()):
+        shape = entries[name][0]
+        count = math.prod(shape)
+        if start < end or start % 8 or min(shape, default=0) < 0 or start + 8 * count > nbytes:
             raise CheckpointError(
-                f"{path}: tensor {name!r} {shape} at byte {start} lies outside the {len(data)} data bytes"
+                f"{path}: tensor {name!r} {shape} at byte {start} lies outside the {nbytes} data bytes, "
+                "off the 8-byte grid or over another tensor"
             )
-        flat = np.frombuffer(data, dtype="<f8", count=count, offset=start)
-        arrays[name] = flat.astype(np.float64).reshape(shape)
-    return arrays
+        end = start + 8 * count
+        arrays[name] = data[start // 8 : end // 8].reshape(shape)
+    return arrays, digest.hexdigest()

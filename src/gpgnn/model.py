@@ -136,7 +136,7 @@ class EdgeEncoder:
 
     @classmethod
     def create(
-        cls, input_dim: int, hidden_size: int, d_n: int, activation: str, rng: np.random.Generator
+        cls, input_dim: int, hidden_size: int, d_n: int, activation: str, rng: np.random.Generator | None
     ) -> "EdgeEncoder":
         return cls(
             lstm_fwd=LstmParams.create(input_dim, hidden_size, rng),
@@ -287,14 +287,16 @@ class ModelDims:
 
 class GpGnn:
     """Word/marker tables, per-layer edge encoders (or one shared encoder in
-    tied mode), and the classification head, all registered in a store."""
+    tied mode), and the classification head, all registered in a store.
+    ``rng`` draws the initial weights; without one every weight starts at
+    zero, the structure that ``ParameterStore.load`` then fills."""
 
     def __init__(
         self,
         dims: ModelDims,
         vocab: Vocabulary,
         relations: RelationVocab,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         word_table: EmbeddingTable | None = None,
     ):
         self.dims = dims

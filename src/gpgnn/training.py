@@ -226,7 +226,10 @@ def run_training(
     naming the parameter, before any validation pass or checkpoint sees it.
     Every step and validation pass runs with numpy's overflow, invalid-value
     and divide-by-zero signals raised, so the first non-finite intermediate
-    aborts the run there, naming the phase and the epoch.
+    aborts the run there, naming the phase and the epoch.  Each epoch's
+    train event records ``grad_norm``, the largest global gradient norm
+    before clipping over its steps, and ``clipped_steps``, how many of its
+    steps were clipped.
     """
     if not train:
         raise TrainingError("empty training set")
@@ -245,7 +248,7 @@ def run_training(
     def emit(event: dict) -> None:
         event = {**event, "wall_ms": int((time.monotonic() - t0) * 1000)}
         if log_fh is not None:
-            log_fh.write(json.dumps(event, sort_keys=True) + "\n")
+            log_fh.write(json.dumps(event, sort_keys=True, allow_nan=False) + "\n")
             log_fh.flush()
         if log_events is not None:
             log_events.append(event)
@@ -264,7 +267,8 @@ def run_training(
     try:
         for epoch in range(config.epochs):
             order = rngs["shuffle"].permutation(len(train))
-            epoch_loss = 0.0
+            epoch_loss = grad_norm = 0.0
+            clipped_steps = 0
             for start in range(0, len(order), config.batch_size):
                 batch = [train[i] for i in order[start : start + config.batch_size]]
                 with _first_overflow(f"training step {opt.step + 1}", epoch):
@@ -279,11 +283,14 @@ def run_training(
                     mean_loss = scale(reduce_sum(stacked), 1.0 / len(batch))
                     model.store.zero_grads()
                     backward(mean_loss)
-                    clip_gradients(model.store, config.clip_norm)
+                    norm = clip_gradients(model.store, config.clip_norm)
+                    grad_norm = max(grad_norm, norm)
+                    clipped_steps += int(0 < config.clip_norm < norm)
                     adam_step(opt, model.store, config.learning_rate)
                 epoch_loss += mean_loss.item() * len(batch)
             train_loss = epoch_loss / len(train)
-            emit({"event": "epoch", "epoch": epoch, "split": "train", "loss": train_loss})
+            emit({"event": "epoch", "epoch": epoch, "split": "train", "loss": train_loss,
+                  "grad_norm": grad_norm, "clipped_steps": clipped_steps})
 
             with _first_overflow("validation", epoch):
                 metrics = evaluate_split(model, valid)

@@ -56,6 +56,17 @@ from gpgnn.model import (
 
 
 # ---------------------------------------------------------------------------
+# the logistic function
+
+
+def exp_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) with no exp of a large positive number: the form
+    ``ACTIVATIONS["sigmoid"]`` had before it became one tanh."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+# ---------------------------------------------------------------------------
 # edges and their contexts
 
 

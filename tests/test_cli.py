@@ -1,14 +1,27 @@
+import builtins
+import contextlib
+import hashlib
+import io
 import json
+import math
 import re
 import shutil
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gpgnn import cli
 from gpgnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_trained_model, main
+from gpgnn.corpus import Vocabulary
 from gpgnn.layers import load_checkpoint
+from gpgnn.training import TrainConfig
 
-from conftest import make_sentence
+from conftest import TOY_RELATIONS, make_sentence, two_entity_sentence
 
 
 TINY_CONFIG = dict(
@@ -233,7 +246,7 @@ def test_non_finite_weights_stop_training_before_validation(tmp_path, synth_dir,
     err = capsys.readouterr().err
     assert re.search(r"numeric failure: parameter '[\w.]+' is not finite after optimizer step \d+", err), err
     if (run / "checkpoint.bin").exists():
-        assert all(np.isfinite(a).all() for a in load_checkpoint(run / "checkpoint.bin").values())
+        assert all(np.isfinite(a).all() for a in load_checkpoint(run / "checkpoint.bin")[0].values())
 
 
 def test_model_json_from_before_workers_removal_loads(tmp_path, synth_dir, capsys):
@@ -367,7 +380,7 @@ def test_non_finite_probabilities_are_a_numeric_failure(tmp_path, trained_run, c
     data, run = trained_run
     bad = tmp_path / "run"
     shutil.copytree(run, bad)
-    model, _config, _relations = load_trained_model(bad)
+    model, _config, _relations, _digest = load_trained_model(bad)
     dict(model.store.named())["head.layer1.b"].data[0] = np.nan
     model.store.save(bad / "checkpoint.bin")
     first = json.loads((data / "test.jsonl").read_text(encoding="utf-8").splitlines()[0])["id"]
@@ -378,3 +391,101 @@ def test_non_finite_probabilities_are_a_numeric_failure(tmp_path, trained_run, c
                      "--out", str(out)]) == EXIT_NUMERIC
     assert f"numeric failure: sentence {first!r}: non-finite probabilities" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_loaded_parameters_are_aligned_writable_views_of_the_bytes_read(tmp_path, trained_run, monkeypatch):
+    """Loading creates no generator and so draws no weight.  Every parameter
+    is float64, 8-byte aligned, writable and bit-equal to its bytes in the
+    file, and eval's manifest holds the SHA-256 of the file."""
+    data, run = trained_run
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("loading a trained model made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(np.random, "SeedSequence", no_draws)
+    model, _config, _relations, digest = load_trained_model(run)
+    monkeypatch.undo()
+    raw = (run / "checkpoint.bin").read_bytes()
+    assert digest == hashlib.sha256(raw).hexdigest()
+    (hlen,) = struct.unpack("<Q", raw[:8])
+    entries = json.loads(raw[8 : 8 + hlen])["tensors"]
+    assert sorted(entries) == [name for name, _ in model.store.named()]
+    for name, p in model.store.named():
+        shape, offset = tuple(entries[name]["shape"]), entries[name]["offset"]
+        stored = np.frombuffer(raw, dtype="<f8", count=math.prod(shape), offset=8 + hlen + offset)
+        assert p.data.dtype == np.float64 and p.shape == shape, name
+        assert p.data.flags.aligned and p.data.ctypes.data % 8 == 0 and p.data.flags.writeable, name
+        assert p.data.tobytes() == stored.tobytes(), name
+    out = tmp_path / "eval"
+    assert main(["eval", "--model-dir", str(run), "--data", str(data / "test.jsonl"), "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"][str(run / "checkpoint.bin")] == digest
+
+
+# the length prefix is the file's first 8 bytes, little-endian: bit 63 is
+# its top bit, which makes the header length about 2**63
+@given(st.sampled_from(["cut", "flip"]), st.integers(0, 2**40))
+@example("flip", 63)
+@example("cut", 0)
+@example("cut", 9)
+@settings(max_examples=60, deadline=None)
+def test_corrupt_checkpoint_fails_cleanly_through_eval(trained_run, how, at):
+    """A checkpoint truncated at any length exits 2 naming the file; one
+    with any single bit flipped exits 0, 2 or 3, and nothing raises."""
+    data, run = trained_run
+    raw = bytearray((run / "checkpoint.bin").read_bytes())
+    if how == "cut":
+        raw = raw[: at % len(raw)]
+    else:
+        raw[at % (8 * len(raw)) // 8] ^= 1 << (at % 8)
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "run"
+        bad.mkdir()
+        shutil.copy(run / "model.json", bad / "model.json")
+        (bad / "checkpoint.bin").write_bytes(bytes(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                np.errstate(all="ignore"):
+            code = main(["eval", "--model-dir", str(bad), "--data", str(data / "test.jsonl"),
+                         "--out", str(Path(tmp) / "eval")])
+    if how == "cut":
+        assert code == EXIT_DATA and str(bad / "checkpoint.bin") in err.getvalue(), err.getvalue()
+    else:
+        assert code in (EXIT_OK, EXIT_DATA, EXIT_NUMERIC), err.getvalue()
+
+
+def test_failed_model_json_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    """A model.json write that dies partway (here, a disk that fills after
+    200 bytes) leaves the previous file byte for byte, and no temporary
+    file."""
+    import errno
+
+    import gpgnn.layers
+
+    path = tmp_path / "model.json"
+    vocab = Vocabulary.build([two_entity_sentence()])
+    cli._write_model_json(path, TrainConfig(), vocab, TOY_RELATIONS)
+    before = path.read_bytes()
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh, self.room = fh, 200
+
+        def write(self, text):
+            if len(text) > self.room:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.room -= len(text)
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(gpgnn.layers, "open", lambda *a, **kw: FullDisk(builtins.open(*a, **kw)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        cli._write_model_json(path, TrainConfig(layers=2), vocab, TOY_RELATIONS)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

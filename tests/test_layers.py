@@ -348,7 +348,7 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     }
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, tensors)
-    arrays = load_checkpoint(path)
+    arrays, _digest = load_checkpoint(path)
     assert sorted(arrays) == ["a.vec", "b.mat", "c.scalar"]
     for name, t in tensors.items():
         np.testing.assert_array_equal(arrays[name], t.data)

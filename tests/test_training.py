@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpgnn import training
-from gpgnn.autodiff import Tensor, backward, mul, reduce_sum, scale
+from gpgnn.autodiff import Tensor, backward, concat, mul, reduce_sum, reshape, scale
 from gpgnn.cli import EXIT_DATA, main
 from gpgnn.corpus import Vocabulary, normalize_dataset
 from gpgnn.layers import ParameterStore
-from gpgnn.model import ConfigError
+from gpgnn.model import ConfigError, batch_losses
 from gpgnn.synth import SynthSpec, synthesize_multihop_corpus
 from gpgnn.training import (
     OptimizerState,
@@ -218,6 +219,49 @@ def test_different_seeds_differ():
         run_training(cfg, train, valid, model, log_events=events)
         losses.append([e["loss"] for e in events if e.get("split") == "train"])
     assert losses[0] != losses[1]
+
+
+def test_train_events_record_grad_norm_and_clipped_steps(monkeypatch):
+    """On a one-batch run, ``grad_norm`` is the global gradient norm
+    recomputed from a fresh model on the same batch, and ``clipped_steps``
+    is 1 exactly when that norm exceeds a nonzero ``clip_norm``.  Over
+    several steps they are the largest step norm and the count of steps
+    above the cap."""
+    train, valid, relations = tiny_synth()
+    vocab = Vocabulary.build(train)
+    cfg = tiny_config(epochs=1, batch_size=len(train))
+    model = build_model(cfg, vocab, relations)
+    rngs = training.named_rngs(cfg.seed)
+    batch = [train[i] for i in rngs["shuffle"].permutation(len(train))]
+    losses = batch_losses(model, batch, training=True, rng=rngs["dropout"], na_weight=cfg.na_weight)
+    backward(scale(reduce_sum(concat([reshape(l, (1,)) for l in losses], axis=0)), 1.0 / len(batch)))
+    norm = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for _, p in model.store.named()))
+
+    def train_events(config):
+        events = []
+        run_training(config, train, valid, build_model(config, vocab, relations), log_events=events)
+        return [e for e in events if e.get("split") == "train"]
+
+    for clip_norm, clipped in ((0.0, 0), (2.0 * norm, 0), (0.5 * norm, 1)):
+        (event,) = train_events(dataclasses.replace(cfg, clip_norm=clip_norm))
+        assert event["grad_norm"] == norm
+        assert event["clipped_steps"] == clipped
+
+    norms = []
+    original = training.clip_gradients
+
+    def spy(store, max_norm):
+        norms.append(original(store, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(training, "clip_gradients", spy)
+    cfg = tiny_config(epochs=2, batch_size=3, clip_norm=2.0)  # inside the range of the step norms
+    events = train_events(cfg)
+    steps = -(-len(train) // cfg.batch_size)
+    assert len(norms) == 2 * steps
+    for event, epoch_norms in zip(events, (norms[:steps], norms[steps:])):
+        assert event["grad_norm"] == max(epoch_norms)
+        assert event["clipped_steps"] == sum(n > cfg.clip_norm for n in epoch_norms)
 
 
 def test_config_event_echoes_reference_values_verbatim():

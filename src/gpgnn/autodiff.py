@@ -8,7 +8,8 @@ reverse.  Gradients accumulate additively, so a tensor used n times receives
 the sum of its n contributions.  Only leaves (tensors no op produced, such as
 parameters) receive ``grad``; an intermediate gradient lives only until its
 op's rule has run.  One ``lstm_sequence`` record covers a whole LSTM run,
-and one ``propagate`` record a whole message-passing layer.  The LSTM runs
+and one ``propagate`` or ``propagate_flags`` record a whole message-passing
+layer over many graphs.  The LSTM runs
 over a ``SequencePlan``, the prefix forest of its batch's sequences, so a
 prefix that several sequences share is computed once; a plan that shares
 nothing is the dense batch.  Each activation's values and derivative are
@@ -48,7 +49,11 @@ __all__ = [
     "SequencePlan",
     "lstm_sequence",
     "propagate",
+    "FlagPlan",
+    "propagate_flags",
     "reduce_sum",
+    "segment_sums",
+    "unstack",
     "dropout",
     "softmax_cross_entropy_rows",
     "activation_fn",
@@ -175,21 +180,34 @@ def scale(a: Tensor, c: float) -> Tensor:
 # nonlinearities
 
 
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
+def _relu_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # a NaN input gives 0 here, where np.maximum would keep it
+    if out is None:
+        return np.where(x > 0, x, 0.0)
+    drop = ~(x > 0)
+    if out is not x:
+        np.copyto(out, x)
+    np.copyto(out, 0.0, where=drop)
+    return out
+
+
+def _sigmoid_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # sigma(x) = (1 + tanh(x/2)) / 2: one pass of tanh, which never
     # overflows, and halving is exact, so ``lstm_sequence`` can take all
     # four gates from one tanh
-    y = np.tanh(0.5 * x)
+    y = np.multiply(x, 0.5, out=out)
+    np.tanh(y, out=y)
     y *= 0.5
     y += 0.5
     return y
 
 
-# name -> (values(x), rule(g, y)): each derivative is written in terms of
-# the output y, so an op that saves y can apply it
-ACTIVATIONS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], Callable]] = {
-    "relu": (lambda x: np.where(x > 0, x, 0.0), lambda g, y: g * (y > 0)),
-    "tanh": (np.tanh, lambda g, y: g * (1.0 - y * y)),
+# name -> (values(x, out=None), rule(g, y)): ``out`` may be x itself, for an
+# op that needs only the output; each derivative is written in terms of the
+# output y, so an op that saves y can apply it
+ACTIVATIONS: dict[str, tuple[Callable[..., np.ndarray], Callable]] = {
+    "relu": (_relu_values, lambda g, y: g * (y > 0)),
+    "tanh": (lambda x, out=None: np.tanh(x, out=out), lambda g, y: g * (1.0 - y * y)),
     "sigmoid": (_sigmoid_values, lambda g, y: g * y * (1.0 - y)),
 }
 
@@ -268,6 +286,36 @@ def reduce_sum(x: Tensor) -> Tensor:
     return _result(x.data.sum(), (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
 
 
+def segment_sums(x: Tensor, sizes) -> Tensor:
+    """The sums of a vector's consecutive runs of ``sizes`` elements, as a
+    (len(sizes),) vector.  Runs of one size are summed as the rows of a
+    matrix, which numpy sums in the order it sums each run alone."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if x.ndim != 1 or sizes.ndim != 1 or not sizes.size or sizes.min() < 1 or sizes.sum() != x.size:
+        raise ShapeError(f"segment_sums of {x.shape} into runs of {sizes.tolist()}")
+    if np.all(sizes == sizes[0]):
+        out = x.data.reshape(sizes.size, -1).sum(axis=1)
+    else:
+        out = np.add.reduceat(x.data, np.cumsum(sizes) - sizes)
+    return _result(out, (x,), lambda g: (np.repeat(g, sizes),))
+
+
+def unstack(x: Tensor) -> list[Tensor]:
+    """The elements of a vector as scalars, one tape record each."""
+    if x.ndim != 1:
+        raise ShapeError(f"unstack needs a vector, got {x.shape}")
+
+    def element(k: int) -> Tensor:
+        def rule(g: np.ndarray):
+            gx = np.zeros(x.shape)
+            gx[k] = g
+            return (gx,)
+
+        return _result(x.data[k], (x,), rule)
+
+    return [element(k) for k in range(x.size)]
+
+
 def dropout(x: Tensor, ratio: float, rng: np.random.Generator | None, training: bool) -> Tensor:
     """Inverted-mask dropout: active only in training mode, identity otherwise."""
     if not 0.0 <= ratio < 1.0:
@@ -290,6 +338,15 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     from gemm, so a single row is multiplied as a pair of rows."""
     if a.shape[0] == 1:
         return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
+def _matmul_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with each column's bits independent of how many columns
+    ``b`` has: a one-column product, which numpy sends to gemv, is taken
+    as a pair of columns."""
+    if b.shape[-1] == 1:
+        return (a @ np.concatenate([b, b], axis=-1))[..., :1]
     return a @ b
 
 
@@ -470,47 +527,161 @@ def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, plan: SequencePlan
 # message passing
 
 
-def propagate(matrices: Tensor, states: Tensor, sources, activation: str) -> Tensor:
-    """One message-passing layer as one tape record.
+def _graph_stacks(matrices: Tensor) -> np.ndarray:
+    """A (G, E, d, d) view of a stack of matrices per graph; one (E, d, d)
+    stack is G = 1."""
+    md = matrices.data
+    return md[None] if md.ndim == 3 else md
 
-    ``matrices`` is an (E, d, d) stack and ``states`` stacks B blocks of m
-    nodes, (B*m, d).  ``sources`` gives the source node, in 0..m-1, of each
-    of the E edges of a block, every node the source of the same number
-    c = E/m of edges; m is the number of distinct sources.  Message (g, e)
-    is act(matrices[e] @ states[g*m + sources[e]]): one stack serves all B
-    blocks and is never copied.  Output row g*m + i sums the c consecutive
-    messages (g, i*c) .. (g, i*c + c-1), so the result is (B*m, d).  The
-    rule forms the stack's gradient as one (E, d, B) x (E, B, d) product and
+
+def propagate(matrices: Tensor, states: Tensor, sources, activation: str) -> Tensor:
+    """One message-passing layer over G graphs as one tape record.
+
+    ``matrices`` is a (G, E, d, d) stack per graph, or one (E, d, d) stack
+    (G = 1).  ``states`` stacks G*B blocks of m nodes, (G*B*m, d): graph
+    g's B blocks come g-th and propagate against stack g.  ``sources``
+    gives the source node, in 0..m-1, of each of the E edges of a block,
+    every node the source of the same number c = E/m of edges; m is the
+    number of distinct sources.  Message (g, b, e) is
+    act(matrices[g, e] @ states[(g*B + b)*m + sources[e]]), taken for all
+    B blocks at once as one (d, d) x (d, B) product per edge, taken source
+    node by source node, whose bits do not depend on B.  Output row (g*B + b)*m + i sums the c consecutive
+    messages (g, b, i*c) .. (g, b, i*c + c-1), in that order.  The rule
+    forms each stack's gradient as one (d, B) x (B, d) product per edge and
     the states' as a sum over each node's c messages; it skips any operand
     that takes no gradient.
     """
     values, act_rule = _activation(activation)
     src = np.asarray(sources, dtype=np.intp)
-    md, sd = matrices.data, states.data
-    ok = (md.ndim == 3 and sd.ndim == 2 and md.shape[1:] == (sd.shape[1],) * 2
-          and src.shape == (md.shape[0],) and src.size > 0 and src.min() >= 0)
+    mg, sd = _graph_stacks(matrices), states.data
+    ok = (mg.ndim == 4 and sd.ndim == 2 and mg.shape[2:] == (sd.shape[1],) * 2
+          and src.shape == (mg.shape[1],) and src.size > 0 and src.min() >= 0)
     if ok:
         counts = np.bincount(src)
         m = counts.size
-        ok = counts.min() == counts.max() and sd.shape[0] > 0 and sd.shape[0] % m == 0
+        ok = counts.min() == counts.max() and sd.shape[0] > 0 and sd.shape[0] % (mg.shape[0] * m) == 0
     if not ok:
-        raise ShapeError(f"propagate shapes disagree: {md.shape} stack, {sd.shape} states, {src.shape} sources")
-    e, d = md.shape[0], sd.shape[1]
-    blocks = sd.shape[0] // m
-    x = sd.reshape(blocks, m, d)[:, src].reshape(blocks, e, d, 1)
-    y = values(md @ x).reshape(sd.shape[0], -1, d)  # (B*m, c, d): the c messages each output row sums
-    out = y.sum(axis=1)
-    by_source = np.argsort(src, kind="stable")
+        raise ShapeError(f"propagate shapes disagree: {matrices.shape} stack, {sd.shape} states, {src.shape} sources")
+    graphs, e, d = mg.shape[:3]
+    blocks = sd.shape[0] // (graphs * m)
+    split = (graphs, m, e // m, d, blocks)  # a node's c messages side by side
+    # node j's states in graph g's blocks, as one (d, B) matrix
+    nodes = sd.reshape(graphs, blocks, m, d).transpose(0, 2, 3, 1)
+    from_source = [np.flatnonzero(src == j) for j in range(m)]
+    # message products per source node, straight from its states; the
+    # activation then overwrites them, so no (G, E, d, B) array is made
+    # twice
+    y = np.empty((graphs, e, d, blocks))
+    for j, edges in enumerate(from_source):
+        y[:, edges] = _matmul_cols(mg[:, edges], nodes[:, j, None])
+    values(y, out=y)
+    out = y.reshape(split).sum(axis=2).transpose(0, 3, 1, 2).reshape(sd.shape)
 
     def rule(g: np.ndarray):
-        gz = act_rule(g[:, None, :], y).reshape(blocks, e, d)
-        gm = gz.transpose(1, 2, 0) @ x.reshape(blocks, e, d).swapaxes(0, 1) if matrices.requires_grad else None
-        if not states.requires_grad:
-            return gm, None
-        gx = (md.swapaxes(1, 2) @ gz[..., None])[:, by_source]
-        return gm, gx.reshape(sd.shape[0], -1, d).sum(axis=1)
+        per_node = g.reshape(graphs, blocks, m, d).transpose(0, 2, 3, 1)[:, :, None]
+        gz = act_rule(per_node, y.reshape(split)).reshape(y.shape)
+        gm = np.empty(mg.shape) if matrices.requires_grad else None
+        gx = np.empty(nodes.shape) if states.requires_grad else None
+        for j, edges in enumerate(from_source):
+            gz_j = gz[:, edges]
+            if gm is not None:
+                gm[:, edges] = gz_j @ nodes[:, j, None].swapaxes(2, 3)
+            if gx is not None:
+                gx[:, j] = _matmul_cols(mg[:, edges].swapaxes(2, 3), gz_j).sum(axis=1)
+        return (None if gm is None else gm.reshape(matrices.shape),
+                None if gx is None else gx.transpose(0, 3, 1, 2).reshape(sd.shape))
 
     return _result(out, (matrices, states), rule)
+
+
+class FlagPlan:
+    """Which first-layer messages each node receives when layer 0 holds
+    only two flags.
+
+    A graph has m nodes and E edges whose ``sources`` are as in
+    ``propagate``: node i's c edges are edges i*c .. i*c + c-1.  Each of P
+    target ``pairs`` (s, o) is a block of m layer-0 states: a subject flag
+    at node s, an object flag at node o, zeros elsewhere.  Node i of block
+    p then receives act(A[e] @ subject) over its edge e from s,
+    act(A[e] @ object) over its edge from o, and act(0) over each of its
+    other edges.  Numbering message 2e + k for flag k of edge e:
+
+    - ``reads`` (P*m, 2) names each row's subject and object messages, or
+      the zero message 2E where the node has no such edge (i = s, i = o);
+    - ``idle`` (P*m,) counts each row's other edges;
+    - ``readers`` (2E, width) inverts ``reads``: the rows that read each
+      message, padded with the zero row P*m.
+
+    None of this depends on a graph's matrices, so it is built once per
+    graph shape."""
+
+    def __init__(self, sources, pairs):
+        src = np.asarray(sources, dtype=np.intp)
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        counts = np.bincount(src) if src.ndim == 1 and src.size and src.min() >= 0 else np.zeros(0, np.intp)
+        m = counts.size
+        if not m or counts.min() != counts.max():
+            raise ShapeError(f"a flag plan needs every node the source of equally many edges, got {src}")
+        if not pairs.size or pairs.min() < 0 or pairs.max() >= m or np.any(pairs[:, 0] == pairs[:, 1]):
+            raise ShapeError(f"flag plan target pairs must be two distinct nodes of {m}, got {pairs.tolist()}")
+        e = src.size
+        edge_of = np.full((m, m), -1, dtype=np.intp)  # edge_of[i, j]: node i's edge from j
+        edge_of[np.arange(e) // counts[0], src] = np.arange(e)
+        if np.count_nonzero(edge_of >= 0) != e:
+            raise ShapeError(f"a flag plan needs at most one edge per (node, source), got {src}")
+        own = edge_of[:, pairs.T].transpose(2, 1, 0)  # (P, 2, m): node i's edge from s and from o
+        self.messages = 2 * e
+        self.rows = len(pairs) * m
+        self.reads = np.where(own >= 0, 2 * own + np.array([[0], [1]]), self.messages)
+        self.reads = self.reads.transpose(0, 2, 1).reshape(self.rows, 2)
+        self.idle = (counts[0] - (own >= 0).sum(axis=1)).reshape(self.rows).astype(np.float64)
+        msg = self.reads.reshape(-1)
+        row = np.repeat(np.arange(self.rows), 2)
+        keep = np.flatnonzero(msg < self.messages)
+        order = keep[np.argsort(msg[keep], kind="stable")]
+        per_message = np.bincount(msg[order], minlength=self.messages)
+        slot = np.arange(order.size) - np.repeat(np.cumsum(per_message) - per_message, per_message)
+        self.readers = np.full((self.messages, max(int(per_message.max()), 1)), self.rows, dtype=np.intp)
+        self.readers[msg[order], slot] = row[order]
+
+
+def propagate_flags(matrices: Tensor, flags, plan: FlagPlan, activation: str) -> Tensor:
+    """The first message-passing layer of G graphs straight from two flags,
+    as one tape record: ``propagate`` on the layer-0 states that ``plan``
+    describes, without them.
+
+    ``matrices`` is a (G, E, d, d) stack per graph or one (E, d, d) stack,
+    and ``flags`` the (2, d) subject and object flags.  Each graph's 2E
+    flag messages act(A[e] @ flag) come from one product; row r of graph g
+    is then the sum of its two messages in ``plan.reads`` (the zero message
+    where there is none), plus act(0) times ``plan.idle[r]``.  That is
+    2E products per graph where ``propagate`` takes P*E, and the same rule
+    for every activation.  With act(0) = 0 (relu, tanh) every term added
+    beyond ``propagate``'s is an exact zero, so the two agree bit for bit
+    wherever the products round alike; for the sigmoid, act(0) = 0.5, and
+    the m-1 terms are added in another order, within (m-1)**2 * 2**-52.
+    Returns (G*P*m, d).  The rule gathers each message's readers and sums
+    them, with no scatter."""
+    values, act_rule = _activation(activation)
+    mg, f = _graph_stacks(matrices), np.asarray(flags, dtype=np.float64)
+    if mg.ndim != 4 or 2 * mg.shape[1] != plan.messages or mg.shape[2:] != (mg.shape[3],) * 2 \
+            or f.shape != (2, mg.shape[3]):
+        raise ShapeError(f"propagate_flags shapes disagree: {matrices.shape} stack, {f.shape} flags, "
+                         f"a plan of {plan.messages} messages")
+    graphs, e, d = mg.shape[:3]
+    y = values(mg.reshape(-1, d) @ f.T)  # (G*E*d, 2): column k is flag k's messages
+    table = np.zeros((graphs, plan.messages + 1, d))  # message 2e + k, then the zero message
+    table[:, :-1] = y.reshape(graphs, e, d, 2).transpose(0, 1, 3, 2).reshape(graphs, -1, d)
+    out = table[:, plan.reads[:, 0]] + table[:, plan.reads[:, 1]]
+    out += values(np.zeros(1))[0] * plan.idle[:, None]
+
+    def rule(g: np.ndarray):
+        rows = np.zeros((graphs, plan.rows + 1, d))  # every row, then the zero row
+        rows[:, :-1] = g.reshape(graphs, plan.rows, d)
+        gy = rows[:, plan.readers].sum(axis=2).reshape(graphs, e, 2, d).transpose(0, 1, 3, 2)
+        return ((act_rule(gy.reshape(y.shape), y) @ f).reshape(matrices.shape),)
+
+    return _result(out.reshape(graphs * plan.rows, d), (matrices,), rule)
 
 
 # ---------------------------------------------------------------------------

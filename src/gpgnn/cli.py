@@ -40,7 +40,7 @@ from .evaluation import (
     write_predictions,
 )
 from .gradcheck import full_model_gradcheck
-from .layers import CheckpointError, atomic_write
+from .layers import BackgroundSha256, CheckpointError, atomic_write
 from .model import ConfigError, GpGnn, predict_pairs
 from .synth import SynthSpec, synthesize_multihop_corpus
 from .training import SUB_SEEDS, TrainConfig, TrainingError, build_model, named_rngs, run_training
@@ -352,11 +352,14 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
-def load_trained_model(model_dir) -> tuple[GpGnn, TrainConfig, RelationVocab, str]:
+def load_trained_model(model_dir) -> tuple[GpGnn, TrainConfig, RelationVocab, BackgroundSha256]:
     """The model ``gpgnn train`` wrote to ``model_dir``, its config and
-    relations, and the SHA-256 of the checkpoint bytes it read.  The model
-    is built with no initial draws, then filled from ``checkpoint.bin``.  A
-    malformed ``model.json`` is a data error naming that file."""
+    relations, and the SHA-256 of the checkpoint bytes it read, which a
+    second thread computes until ``hexdigest()`` joins it.  The model is
+    built with no initial draws, then filled from ``checkpoint.bin``; its
+    parameters are views of the bytes being hashed, so nothing may write to
+    them before the join.  A malformed ``model.json`` is a data error naming
+    that file."""
     model_dir = Path(model_dir)
     path = model_dir / "model.json"
     with open(path, "r", encoding="utf-8") as fh:
@@ -378,14 +381,24 @@ def load_trained_model(model_dir) -> tuple[GpGnn, TrainConfig, RelationVocab, st
     except (ConfigError, CorpusError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
     model = GpGnn(config.model_dims(), vocab, relations, None)
-    checkpoint_sha256 = model.store.load(model_dir / "checkpoint.bin")
-    return model, config, relations, checkpoint_sha256
+    return model, config, relations, model.store.load(model_dir / "checkpoint.bin")
+
+
+def _predict_while_hashing(args):
+    """The model in ``args.model_dir``, its config, and its predictions on
+    ``args.data``, with the checkpoint hashed on a second thread meanwhile;
+    the thread is joined on every way out."""
+    model, config, relations, digest = load_trained_model(args.model_dir)
+    try:
+        data, skips = _load_split(args.data, relations)
+        records = predict_pairs(model, data)
+    finally:
+        checkpoint_sha256 = digest.hexdigest()
+    return config, relations, records, skips, checkpoint_sha256
 
 
 def cmd_eval(args, argv) -> int:
-    model, config, relations, checkpoint_sha256 = load_trained_model(args.model_dir)
-    data, skips = _load_split(args.data, relations)
-    records = predict_pairs(model, data)
+    config, relations, records, skips, checkpoint_sha256 = _predict_while_hashing(args)
     report, ranked = metrics_report(records, relations, population=args.population)
     report["counts"]["normalization_skips"] = skips
     out = Path(args.out)
@@ -405,9 +418,7 @@ def cmd_eval(args, argv) -> int:
 
 
 def cmd_predict(args, argv) -> int:
-    model, config, relations, checkpoint_sha256 = load_trained_model(args.model_dir)
-    data, skips = _load_split(args.data, relations)
-    records = predict_pairs(model, data)
+    config, _relations, records, skips, checkpoint_sha256 = _predict_while_hashing(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_predictions(out / "predictions.jsonl", records)

@@ -105,6 +105,18 @@ class Sentence:
         return json.dumps(obj, ensure_ascii=False)
 
 
+def _int_field(record, key: str, where: str) -> int:
+    """``record[key]``, which must be a JSON integer: a bool, a float or a
+    string is a CorpusError naming the field, never rounded or parsed."""
+    try:
+        value = record[key]
+    except (KeyError, TypeError):
+        raise CorpusError(f"{where}: missing {key!r}") from None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CorpusError(f"{where}: {key!r} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def sentence_from_obj(obj: dict) -> Sentence:
     if not isinstance(obj, dict):
         raise CorpusError("sentence record is not an object")
@@ -116,10 +128,7 @@ def sentence_from_obj(obj: dict) -> Sentence:
         raise CorpusError("missing or invalid 'tokens'")
     entities: list[EntityMention] = []
     for k, e in enumerate(obj.get("entities", [])):
-        try:
-            start, end = int(e["start"]), int(e["end"])
-        except (KeyError, TypeError, ValueError):
-            raise CorpusError(f"entity {k}: missing start/end") from None
+        start, end = (_int_field(e, key, f"entity {k}") for key in ("start", "end"))
         if not (0 <= start < end <= len(tokens)):
             raise CorpusError(f"entity {k}: span [{start}, {end}) outside tokens or empty")
         kb = e.get("kb_id")
@@ -128,10 +137,11 @@ def sentence_from_obj(obj: dict) -> Sentence:
         entities.append(EntityMention(start, end, kb))
     triples: list[RelationTriple] = []
     for k, t in enumerate(obj.get("triples", [])):
+        s, o = (_int_field(t, key, f"triple {k}") for key in ("s", "o"))
         try:
-            s, o, r = int(t["s"]), int(t["o"]), t["r"]
-        except (KeyError, TypeError, ValueError):
-            raise CorpusError(f"triple {k}: missing s/o/r") from None
+            r = t["r"]
+        except (KeyError, TypeError):
+            raise CorpusError(f"triple {k}: missing 'r'") from None
         if not isinstance(r, str) or not r:
             raise CorpusError(f"triple {k}: relation must be a nonempty string")
         if not (0 <= s < len(entities)) or not (0 <= o < len(entities)):
@@ -419,7 +429,9 @@ def load_embedding_file(path, vocab: Vocabulary, rng: np.random.Generator) -> Em
 
     Vocabulary words found in the file get the file's vector; missing words
     are randomly initialized like the unknown row.  The padding row stays
-    zero and the width is fixed at 50.
+    zero and the width is fixed at 50.  A vocabulary word's line with a
+    nan or infinite value is a CorpusError naming the file and the line;
+    other malformed lines are logged and skipped.
     """
     errors: list[ParseError] = []
     vectors: dict[str, np.ndarray] = {}
@@ -437,9 +449,14 @@ def load_embedding_file(path, vocab: Vocabulary, rng: np.random.Generator) -> Em
                 errors.append(ParseError(line_no, f"expected {GLOVE_DIM} floats, got {len(values)}"))
                 continue
             try:
-                vectors[token] = np.array([float(v) for v in values], dtype=np.float64)
+                vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError:
                 errors.append(ParseError(line_no, "non-numeric embedding value"))
+                continue
+            if not np.isfinite(vec).all():
+                bad = values[int(np.flatnonzero(~np.isfinite(vec))[0])]
+                raise CorpusError(f"{path}:{line_no}: non-finite embedding value {bad!r} for {token!r}")
+            vectors[token] = vec
     for err in errors:
         logger.warning("%s:%d: %s", path, err.line_no, err.message)
     if not vectors:

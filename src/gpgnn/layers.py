@@ -15,6 +15,7 @@ import json
 import math
 import os
 import struct
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -269,19 +270,26 @@ class ParameterStore:
     def save(self, path) -> None:
         save_checkpoint(path, dict(self._params))
 
-    def load(self, path) -> str:
+    def load(self, path) -> "BackgroundSha256":
         """Set every parameter to its tensor in the checkpoint at ``path``;
-        returns the SHA-256 hex digest of the file's bytes."""
+        returns the SHA-256 of the file's bytes, still being computed.  The
+        parameters are views of those bytes: nothing may write to them
+        before ``hexdigest()`` has returned."""
         arrays, digest = load_checkpoint(path)
-        missing = sorted(set(self._params) - set(arrays))
-        extra = sorted(set(arrays) - set(self._params))
-        if missing or extra:
-            raise CheckpointError(f"{path}: checkpoint mismatch: missing={missing} extra={extra}")
+        try:
+            missing = sorted(set(self._params) - set(arrays))
+            extra = sorted(set(arrays) - set(self._params))
+            if missing or extra:
+                raise CheckpointError(f"{path}: checkpoint mismatch: missing={missing} extra={extra}")
+            for name, tensor in self._params.items():
+                if arrays[name].shape != tensor.shape:
+                    raise CheckpointError(
+                        f"{path}: checkpoint shape for {name!r}: {arrays[name].shape} vs {tensor.shape}")
+        except BaseException:
+            digest.hexdigest()
+            raise
         for name, tensor in self._params.items():
-            arr = arrays[name]
-            if arr.shape != tensor.shape:
-                raise CheckpointError(f"{path}: checkpoint shape for {name!r}: {arr.shape} vs {tensor.shape}")
-            tensor.data = arr
+            tensor.data = arrays[name]
             tensor.zero_grad()
         return digest
 
@@ -325,9 +333,30 @@ def save_checkpoint(path, tensors: dict[str, Tensor]) -> None:
             fh.write(np.ascontiguousarray(tensors[name].data, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
+class BackgroundSha256:
+    """The SHA-256 of some buffers, computed on a second thread.  hashlib
+    releases the GIL over large buffers, so the hash runs beside whatever
+    the caller does next.  The buffers must not change until
+    ``hexdigest()``, which joins the thread, has returned."""
+
+    def __init__(self, *buffers):
+        self._hash = hashlib.sha256()
+        self._thread = threading.Thread(target=self._run, args=(buffers,), name="sha256", daemon=True)
+        self._thread.start()
+
+    def _run(self, buffers) -> None:
+        for buffer in buffers:
+            self._hash.update(buffer)
+
+    def hexdigest(self) -> str:
+        self._thread.join()
+        return self._hash.hexdigest()
+
+
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], BackgroundSha256]:
     """Read a file that ``save_checkpoint`` wrote, in one pass: the tensors
-    by name, and the SHA-256 hex digest of the bytes read.
+    by name, and the SHA-256 of the bytes read, which a second thread
+    computes from the moment the file has been checked.
 
     The length prefix is checked against the file's size before anything is
     allocated.  The data then goes by one ``readinto`` into one float64
@@ -351,8 +380,6 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
         got = fh.readinto(data_bytes)
     if len(raw_header) != hlen or got != nbytes:
         raise CheckpointError(f"{path}: the file ended early while it was read")
-    digest = hashlib.sha256(prefix + raw_header)
-    digest.update(data_bytes)
     try:
         header = json.loads(raw_header.decode())
         version = header.get("version")
@@ -376,4 +403,4 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
             )
         end = start + 8 * count
         arrays[name] = data[start // 8 : end // 8].reshape(shape)
-    return arrays, digest.hexdigest()
+    return arrays, BackgroundSha256(prefix, raw_header, data_bytes)

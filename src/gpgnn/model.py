@@ -3,21 +3,37 @@ per-edge transition matrices generated from the marked token sequence, a
 flag-initialized propagation stack, and a pairwise relation classifier.
 
 Per-pair semantics are the contract: transition matrices are computed once
-per sentence per layer and shared across target pairs, while propagation is
-re-run per target pair because the layer-0 flag states depend on which pair
-is queried.  This module is the one implementation that training,
-evaluation and the gradient oracle all run, and it is batched: the edge
-encoder takes every context of a batch's equal-length sentences at once,
-and propagation takes every target pair of a sentence at once.  The
-per-pair, per-message loops that define the semantics live in
+per sentence per layer and shared across target pairs, while each target
+pair propagates its own states, because the layer-0 flag states depend on
+which pair is queried.  This module is the one implementation that
+training, evaluation and the gradient oracle all run, and it is batched.
+The per-pair, per-message loops that define the semantics live in
 ``tests/reference.py``, and the tests pin this module to them.
 
-The E = m(m-1) contexts of a sentence are one token sequence under E marker
-rows, so many share a (token, marker) prefix or suffix.  The encoder's
-BiLSTM runs over a prefix forest of each length group's contexts
+The edge encoder takes every context of a batch's equal-length sentences at
+once.  The E = m(m-1) contexts of a sentence are one token sequence under E
+marker rows, so many share a (token, marker) prefix or suffix.  The
+encoder's BiLSTM runs over a prefix forest of each length group's contexts
 (``autodiff.SequencePlan``, one per direction, shared by every layer's
 encoder) and so computes each distinct prefix's and suffix's state once.
 Its outputs are bit for bit those of running every context apart.
+
+Everything after the encoder runs once per batch.  Sentences with the same
+m form a group, a disjoint union of graphs: per layer, one op propagates
+every target pair of every sentence of the group, each sentence against
+its own stack of matrices, gathered from the encoder's output rows at
+once.  Layer 1 needs no layer-0 states.  They are zero except the two
+flags, so node i of pair (s, o) receives act(A[i,s] @ subject) +
+act(A[i,o] @ object) + act(0) from each other edge: 2E products per
+sentence where propagating the flag states takes P*E
+(``autodiff.propagate_flags``).  For relu and tanh, act(0) = 0 and this is
+bit for bit that propagation wherever the two products round alike, as
+they do at every width the tests try; for the sigmoid it adds the same
+terms in another order.  The groups' pair representations are put back into
+sentence and edge order, and one head runs over all of them.  That is the
+order in which the per-sentence heads used to draw their dropout masks, so
+training draws the same masks from the same stream.  One cross entropy over
+every pair and one per-sentence sum then give each sentence's loss.
 
 A sentence's graph structure (its m, edges and marker rows) depends only on
 its entity spans, so ``batch_losses`` and ``predict_pairs`` build it afresh
@@ -36,6 +52,7 @@ import numpy as np
 
 from .autodiff import (
     ACTIVATIONS,
+    FlagPlan,
     SequencePlan,
     ShapeError,
     Tensor,
@@ -46,9 +63,11 @@ from .autodiff import (
     mul,
     no_grad,
     propagate,
-    reduce_sum,
+    propagate_flags,
     reshape,
+    segment_sums,
     softmax_cross_entropy_rows,
+    unstack,
 )
 from .corpus import (
     NA_RELATION,
@@ -155,10 +174,13 @@ class EdgeEncoder:
 
 @dataclass
 class TransitionMatrices:
-    """One sentence's generated matrices: per layer, an (E, d_n, d_n) stack
-    in edge order.  With tied adjacency every layer holds the same stack."""
+    """A batch's generated matrices.  ``stacks[n]`` holds layer n's as one
+    (N, d_n*d_n) row per context, graph by graph, each graph's E rows in
+    edge order from row ``starts[k]`` for graph k.  With tied adjacency
+    every layer holds the same tensor."""
 
     stacks: list[Tensor]
+    starts: np.ndarray
 
 
 def encode_edge_rows(
@@ -237,6 +259,13 @@ def message_sources(m: int) -> np.ndarray:
     src = np.array([j for _i, j in ordered_pairs(m)], dtype=np.intp)
     src.flags.writeable = False
     return src
+
+
+@functools.cache
+def flag_plan(m: int) -> FlagPlan:
+    """Where the first layer's flag messages go for every target pair of
+    the m-entity graph, in edge order."""
+    return FlagPlan(message_sources(m), ordered_pairs(m))
 
 
 def propagate_layer(states: Tensor, matrices: Tensor, activation: str) -> Tensor:
@@ -327,46 +356,60 @@ class GpGnn:
 
     def pair_logits(
         self,
-        graph: EntityGraph,
+        graphs: Sequence[EntityGraph],
         matrices: TransitionMatrices,
-        pairs: Sequence[tuple[int, int]],
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Logits for a batch of target pairs of one sentence, sharing the
-        sentence's transition matrices.  Row p corresponds to pairs[p].  The
+        """Logits for every ordered pair of every graph, one row per pair in
+        graph and edge order, from the batch's transition matrices.
+
+        Graphs of equal m propagate together: per layer, one op over all
+        their target pairs (``propagate_flags`` for layer 1, ``propagate``
+        after it), each graph against its own stack.  A pair's
         representation concatenates, over layers 1..K, the elementwise
-        product of the subject's and the object's states; the layer-0 flags
-        never enter it."""
-        states, subj_rows, obj_rows = flag_states(graph.m, self.dims.d_n, pairs)
-        per_layer: list[Tensor] = []
-        for n in range(self.dims.layers):
-            states = propagate_layer(states, matrices.stacks[n], self.dims.activation)
-            per_layer.append(states)
-        blocks = [
-            mul(gather_rows(layer, subj_rows), gather_rows(layer, obj_rows)) for layer in per_layer
-        ]
-        rep = concat(blocks, axis=1)
+        product of its subject's and its object's states; the layer-0 flags
+        never enter it.  The head then runs once over every row."""
+        d, activation = self.dims.d_n, self.dims.activation
+        by_m: dict[int, list[int]] = {}
+        for k, graph in enumerate(graphs):
+            by_m.setdefault(graph.m, []).append(k)
+        total = matrices.stacks[0].shape[0]
+        flags = np.stack(flag_vectors(d))
+        reps, positions = [], []
+        pair_starts = np.cumsum([0] + [len(g.edges) for g in graphs])
+        for m in sorted(by_m):
+            group = by_m[m]
+            e = m * (m - 1)
+            rows = (matrices.starts[group][:, None] + np.arange(e)).reshape(-1)
+            whole = rows.size == total and np.array_equal(rows, np.arange(total))
+            stacks: dict[int, Tensor] = {}  # tied layers share one stack
+            states, per_layer = None, []
+            for flat in matrices.stacks:
+                stack = stacks.get(id(flat))
+                if stack is None:
+                    picked = flat if whole else gather_rows(flat, rows)
+                    stack = stacks[id(flat)] = reshape(picked, (len(group), e, d, d))
+                if states is None:
+                    states = propagate_flags(stack, flags, flag_plan(m), activation)
+                else:
+                    states = propagate(stack, states, message_sources(m), activation)
+                per_layer.append(states)
+            # the group's target pair q is its block q of m states: graph
+            # q // e's pair q % e, which is (i, j) = (k // (m-1), sources[k])
+            # for k = q % e, in edge order
+            pair = np.arange(len(group) * e) % e
+            subj_rows = np.arange(pair.size) * m + pair // (m - 1)
+            obj_rows = np.arange(pair.size) * m + message_sources(m)[pair]
+            blocks = [mul(gather_rows(h, subj_rows), gather_rows(h, obj_rows)) for h in per_layer]
+            reps.append(concat(blocks, axis=1) if len(blocks) > 1 else blocks[0])
+            positions.append((pair_starts[group][:, None] + np.arange(e)).reshape(-1))
+        rep = reps[0]
+        if len(reps) > 1:
+            # back to graph and edge order, the order the head's dropout
+            # draws its masks in
+            rep = gather_rows(concat(reps, axis=0), np.argsort(np.concatenate(positions)))
         return mlp_forward(self.head, rep, drop_ratio=self.dims.dropout, rng=rng, training=training)
-
-
-def _loss_from_matrices(
-    model: GpGnn,
-    graph: EntityGraph,
-    matrices: TransitionMatrices,
-    training: bool,
-    rng: np.random.Generator | None,
-    na_weight: float,
-) -> Tensor:
-    """Sum of the per-pair cross entropies over all ordered entity pairs of
-    one sentence.  Every pair needs a gold label (NA counts)."""
-    targets = _gold_indices(model.relations, graph)
-    logits = model.pair_logits(graph, matrices, graph.edges, training=training, rng=rng)
-    losses = softmax_cross_entropy_rows(logits, targets)
-    if na_weight != 1.0:
-        weights = np.where(targets == 0, na_weight, 1.0)
-        losses = mul(losses, Tensor(weights))
-    return reduce_sum(losses)
 
 
 def _gold_indices(relations: RelationVocab, graph: EntityGraph) -> np.ndarray:
@@ -388,37 +431,33 @@ def transition_matrices(
     graphs: Sequence[EntityGraph],
     training: bool = False,
     rng: np.random.Generator | None = None,
-) -> list[TransitionMatrices]:
-    """Every sentence's transition matrices, in graph order.  Sentences of
-    equal token length share one encoder run per layer; with tied adjacency
-    the single encoder runs once and every layer shares its matrices."""
+) -> TransitionMatrices:
+    """Every graph's transition matrices.  Sentences of equal token length
+    share one encoder run per layer; with tied adjacency the single encoder
+    runs once and every layer shares its matrices."""
     by_length: dict[int, list[int]] = {}
     for idx, graph in enumerate(graphs):
         by_length.setdefault(graph.markers.shape[1], []).append(idx)
 
-    matrices: list[TransitionMatrices | None] = [None] * len(graphs)
-    d = model.dims.d_n
+    parts: list[list[Tensor]] = [[] for _ in model.encoders]
+    starts = np.empty(len(graphs), dtype=np.intp)
+    off = 0
     for length in sorted(by_length):
         group = by_length[length]
         ids = [np.asarray(model.vocab.encode(graphs[idx].sentence.tokens), dtype=np.intp) for idx in group]
         word_rows = np.concatenate([np.tile(row, (len(graphs[idx].edges), 1)) for idx, row in zip(group, ids)])
         marker_rows = np.concatenate([graphs[idx].markers for idx in group])
         flat_layers = encode_edge_rows(
-            model.encoders, model.word_table, model.pos_table, word_rows, marker_rows, d,
+            model.encoders, model.word_table, model.pos_table, word_rows, marker_rows, model.dims.d_n,
             drop_ratio=model.dims.dropout, rng=rng, training=training,
         )
-        off = 0
+        for part, flat in zip(parts, flat_layers):
+            part.append(flat)
         for idx in group:
-            n_edges = len(graphs[idx].edges)
-            stacks = [
-                reshape(gather_rows(flat, np.arange(off, off + n_edges)), (n_edges, d, d))
-                for flat in flat_layers
-            ]
-            off += n_edges
-            if model.dims.tied:
-                stacks = stacks * model.dims.layers
-            matrices[idx] = TransitionMatrices(stacks)
-    return matrices
+            starts[idx] = off
+            off += len(graphs[idx].edges)
+    stacks = [concat(part, axis=0) if len(part) > 1 else part[0] for part in parts]
+    return TransitionMatrices(stacks * model.dims.layers if model.dims.tied else stacks, starts)
 
 
 def batch_losses(
@@ -428,42 +467,57 @@ def batch_losses(
     rng: np.random.Generator | None = None,
     na_weight: float = 1.0,
 ) -> list[Tensor]:
-    """Per-sentence loss scalars over a batch of sentences."""
+    """Per-sentence loss scalars over a batch of sentences: each the sum of
+    its pairs' cross entropies (NA pairs weighted by ``na_weight``).  Every
+    pair needs a gold label (NA counts).  The batch takes one head, one
+    loss and one per-sentence sum; a FloatingPointError raised in them,
+    which only a raising np.errstate (as in training) makes, names the
+    batch's sentences."""
+    if not sentences:
+        return []
     graphs = [build_entity_graph(s) for s in sentences]
+    targets = np.concatenate([_gold_indices(model.relations, graph) for graph in graphs])
     matrices = transition_matrices(model, graphs, training, rng)
-    losses = []
-    for graph, mats in zip(graphs, matrices):
-        try:
-            losses.append(_loss_from_matrices(model, graph, mats, training=training, rng=rng,
-                                              na_weight=na_weight))
-        except FloatingPointError as exc:  # only under a raising np.errstate, as in training
-            raise FloatingPointError(f"sentence {graph.sentence.id!r}: {exc}") from None
-    return losses
+    try:
+        logits = model.pair_logits(graphs, matrices, training=training, rng=rng)
+        losses = softmax_cross_entropy_rows(logits, targets)
+        if na_weight != 1.0:
+            losses = mul(losses, Tensor(np.where(targets == 0, na_weight, 1.0)))
+        sums = segment_sums(losses, [len(graph.edges) for graph in graphs])
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"batch of sentences {[s.id for s in sentences]}: {exc}") from None
+    return unstack(sums)
 
 
 def predict_pairs(model: GpGnn, sentences: Sequence[Sentence]) -> list[PredictionRecord]:
     """Evaluation-mode probabilities for every ordered pair of every
-    sentence, one record per pair in sentence and edge order.  A sentence
-    whose probabilities are not all finite is a FloatingPointError naming it."""
-    results: list[PredictionRecord] = []
+    sentence, one record per pair in sentence and edge order; each record's
+    probabilities are a row of one array.  A sentence whose probabilities
+    are not all finite is a FloatingPointError naming it."""
+    if not sentences:
+        return []
     graphs = [build_entity_graph(s) for s in sentences]
     with no_grad():
-        matrices = transition_matrices(model, graphs)
-        for sentence, graph, mats in zip(sentences, graphs, matrices):
-            probs = _softmax_values(model.pair_logits(graph, mats, graph.edges).data, axis=1)
-            if not np.isfinite(probs).all():
-                raise FloatingPointError(f"sentence {sentence.id!r}: non-finite probabilities")
-            labels = sentence.label_map()
-            for k, (s, o) in enumerate(graph.edges):
-                results.append(
-                    PredictionRecord(
-                        sentence_id=sentence.id,
-                        subject_idx=s,
-                        object_idx=o,
-                        probs=probs[k].copy(),
-                        gold=labels.get((s, o), NA_RELATION),
-                        subject_kb=sentence.entities[s].kb_id,
-                        object_kb=sentence.entities[o].kb_id,
-                    )
+        logits = model.pair_logits(graphs, transition_matrices(model, graphs))
+    probs = _softmax_values(logits.data, axis=1)
+    results: list[PredictionRecord] = []
+    off = 0
+    for sentence, graph in zip(sentences, graphs):
+        block = probs[off : off + len(graph.edges)]
+        off += len(graph.edges)
+        if not np.isfinite(block).all():
+            raise FloatingPointError(f"sentence {sentence.id!r}: non-finite probabilities")
+        labels = sentence.label_map()
+        for (s, o), row in zip(graph.edges, block):
+            results.append(
+                PredictionRecord(
+                    sentence_id=sentence.id,
+                    subject_idx=s,
+                    object_idx=o,
+                    probs=row,
+                    gold=labels.get((s, o), NA_RELATION),
+                    subject_kb=sentence.entities[s].kb_id,
+                    object_kb=sentence.entities[o].kb_id,
                 )
+            )
     return results

@@ -4,7 +4,7 @@ one ranked candidate at a time.
 
 ``gpgnn.model`` runs the model batched: every context of a batch's
 equal-length sentences goes through the encoder together, and every target
-pair of a sentence propagates together.  The loops here spell out the same
+pair of a batch's sentences with the same entity count propagates together.  The loops here spell out the same
 semantics directly: the marked context of one ordered pair, an LSTM stepped
 token by token, one message act(A[i,j] @ h_j) at a time in scalar Python,
 one target pair's flag states, representation and classifier.  The tests pin the batched path
@@ -76,11 +76,19 @@ def edge_row(graph: EntityGraph, i: int, j: int) -> int:
     return i * (graph.m - 1) + (j if j < i else j - 1)
 
 
-def transition_matrix(matrices: TransitionMatrices, graph: EntityGraph, n: int, i: int, j: int) -> Tensor:
-    """Layer n's (d_n, d_n) matrix for the ordered pair (i, j)."""
-    stack = matrices.stacks[n]
-    d = stack.shape[1]
-    return reshape(gather_rows(stack, [edge_row(graph, i, j)]), (d, d))
+def sentence_stacks(matrices: TransitionMatrices, graphs: list[EntityGraph], k: int) -> list[np.ndarray]:
+    """Layer by layer, graph k's (E, d_n, d_n) stack, cut out of a batch's
+    transition matrices."""
+    e = len(graphs[k].edges)
+    start = matrices.starts[k]
+    d = math.isqrt(matrices.stacks[0].shape[1])
+    return [flat.data[start : start + e].reshape(e, d, d) for flat in matrices.stacks]
+
+
+def transition_matrix(stacks: list[np.ndarray], graph: EntityGraph, n: int, i: int, j: int) -> np.ndarray:
+    """Layer n's (d_n, d_n) matrix for the ordered pair (i, j), from a
+    graph's ``sentence_stacks``."""
+    return stacks[n][edge_row(graph, i, j)]
 
 
 def edge_markers(sentence: Sentence, edge: tuple[int, int]) -> np.ndarray:

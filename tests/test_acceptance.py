@@ -17,7 +17,7 @@ import numpy as np
 from gpgnn import autodiff as ad
 from gpgnn.autodiff import Tensor
 from gpgnn.cli import EXIT_OK, main
-from gpgnn.corpus import Vocabulary, normalize_dataset, split_dense_subset
+from gpgnn.corpus import normalize_dataset, split_dense_subset
 from gpgnn.evaluation import (
     PredictionRecord,
     pr_curve_points,
@@ -26,9 +26,7 @@ from gpgnn.evaluation import (
     sentence_metrics,
 )
 from gpgnn.gradcheck import full_model_gradcheck
-from gpgnn.model import build_entity_graph, flag_states, message_sources, propagate_layer
-from gpgnn.synth import SynthSpec, synthesize_multihop_corpus
-from gpgnn.training import TrainConfig, build_model, run_training
+from gpgnn.model import build_entity_graph, flag_plan, flag_states, message_sources, propagate_layer
 
 from conftest import RANDOM_RELATIONS, TOY_RELATIONS, dense_oracle, random_raw_sentence
 from reference import naive_propagate
@@ -41,8 +39,8 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion} failed: {detail}"
 
 
-def _load_depth_experiment():
-    spec = importlib.util.spec_from_file_location("depth_experiment", SCRIPTS / "depth_experiment.py")
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclass field resolution needs this
     spec.loader.exec_module(module)
@@ -80,6 +78,8 @@ def test_criterion_1_gradient_oracle():
             lambda x: ad.reduce_sum(ad.softmax_cross_entropy_rows(x, [1, 0, 3])), u(3, 4)),
         "dropout": (
             lambda x: ad.reduce_sum(ad.dropout(x, 0.5, np.random.default_rng(0), True)), u(6, 4)),
+        "segment_sums": (lambda x, c=Tensor(u(2)): ad.reduce_sum(ad.mul(ad.segment_sums(x, [2, 3]), c)), u(5)),
+        "unstack": (lambda x: ad.scale(ad.unstack(x)[2], 3.0), u(4)),
     }
     # lstm_sequence over 4 sequences of 3 timesteps, D=3, H=2, against each
     # operand; the plans share nodes at the root, inside and at the last level
@@ -93,18 +93,25 @@ def test_criterion_1_gradient_oracle():
                 return ad.reduce_sum(ad.mul(ad.lstm_sequence(a["x"], a["w"], a["u"], a["b"], plan), c))
 
             checks[f"lstm_sequence_{'reverse' if reverse else 'forward'}_{wrt}"] = (lstm_loss, lstm_args[wrt])
-    # propagate over 2 blocks of m=3 nodes, d=2, against each operand; the
-    # relu pre-activations of these points lie more than 0.05 from the kink
-    prop_args = {"matrices": u(6, 2, 2), "states": u(6, 2)}
+    # propagate over 2 graphs of 2 blocks of m=3 nodes, d=2, each graph
+    # with its own stack, against each operand; and the first layer
+    # straight from the flags, for every target pair of the 2 graphs
+    prop_args = {"matrices": u(2, 6, 2, 2), "states": u(12, 2)}
     sources = message_sources(3)
+    flags = np.eye(2)
     for act in ("relu", "tanh", "sigmoid"):
         for wrt in prop_args:
-            def prop_loss(p, wrt=wrt, act=act, c=Tensor(u(6, 2)),
+            def prop_loss(p, wrt=wrt, act=act, c=Tensor(u(12, 2)),
                           fixed={k: Tensor(v) for k, v in prop_args.items()}):
                 a = {**fixed, wrt: p}
                 return ad.reduce_sum(ad.mul(ad.propagate(a["matrices"], a["states"], sources, act), c))
 
             checks[f"propagate_{act}_{wrt}"] = (prop_loss, prop_args[wrt])
+
+        def flag_loss(p, act=act, c=Tensor(u(36, 2))):
+            return ad.reduce_sum(ad.mul(ad.propagate_flags(p, flags, flag_plan(3), act), c))
+
+        checks[f"propagate_flags_{act}"] = (flag_loss, prop_args["matrices"])
     worst_op, worst_err = None, 0.0
     for name, (f, point) in checks.items():
         result = ad.grad_check(f, Tensor(np.asarray(point)), step=step, tol=tol)
@@ -167,23 +174,17 @@ def test_criterion_3_flag_semantics():
 
 
 def test_criterion_4_overfit_synthetic_corpus():
-    spec = SynthSpec(n_entities=20, n_relations=3, n_sentences=50, seed=7,
-                     chains_per_sentence=1, splits=(1.0, 0.0, 0.0))
-    corpus = synthesize_multihop_corpus(spec)
-    train, skips = normalize_dataset(corpus.train, corpus.relations)
-    assert not skips and len(train) == 50
-    config = TrainConfig(layers=2, epochs=200, patience=200, seed=7)
+    overfit = _load_script("overfit_check")
+    config = overfit.overfit_config(seed=7, epochs=200)
     assert (config.learning_rate, config.batch_size, config.dropout,
             config.hidden_size, config.activation, config.adjacency,
-            config.resolved_d_n()) == (0.001, 50, 0.5, 256, "relu", "untied", 12)
-    model = build_model(config, Vocabulary.build(train), corpus.relations)
-    t0 = time.monotonic()
-    result = run_training(config, train, train, model, stop_accuracy=0.99)
-    wall = time.monotonic() - t0
-    ok = result.reached_target and result.epochs_run <= 200 and wall < 300.0
+            config.resolved_d_n(), config.patience) == (0.001, 50, 0.5, 256, "relu", "untied", 12, 200)
+    summary = overfit.run_overfit(seed=7, epochs=200, target=0.99)
+    assert summary["sentences"] == 50
+    ok = summary["reached_target"] and summary["epochs_run"] <= 200 and summary["wall_s"] < 300.0
     _report(4, ok,
             f"K=2 reference config reached >= 99% training triple accuracy at epoch "
-            f"{result.epochs_run} <= 200 ({wall:.0f}s < 300s)")
+            f"{summary['epochs_run']} <= 200 ({summary['wall_s']:.0f}s < 300s)")
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +192,7 @@ def test_criterion_4_overfit_synthetic_corpus():
 
 
 def test_criterion_5_two_layers_beat_one_on_implied_relations():
-    depth = _load_depth_experiment()
+    depth = _load_script("depth_experiment")
     t0 = time.monotonic()
     summary = depth.run_experiment(seeds=(101, 102, 103))
     wall = time.monotonic() - t0

@@ -320,6 +320,91 @@ def test_bmm_shares_one_stack_across_blocks():
         ad.propagate(t(stack), t(states[:, :3]), sources, "tanh")
 
 
+COMPLETE_3 = [1, 2, 0, 2, 0, 1]  # the sources of the complete 3-node graph, in edge order
+FLAGS_2 = np.array([[1.0, 0.0], [0.0, 1.0]])  # subject and object flags for d = 2
+
+
+@pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
+def test_propagate_over_graphs_and_flag_layer_gradients(act):
+    """``propagate`` over G = 3 graphs, each with its own stack and two
+    blocks of states, and ``propagate_flags`` over G = 2 graphs, for every
+    target pair and for one, pass the finite-difference oracle against each
+    operand, and give every graph what it gets alone."""
+    rng = np.random.default_rng(11)
+    m, d, graphs, blocks = 3, 2, 3, 2
+    stacks = rng.uniform(-1, 1, (graphs, 6, d, d))
+    states = rng.uniform(-1, 1, (graphs * blocks * m, d))
+    w = t(rng.uniform(-1, 1, states.shape))
+    report = ad.grad_check(lambda a: ad.reduce_sum(ad.mul(ad.propagate(a, t(states), COMPLETE_3, act), w)), t(stacks))
+    assert report.passed, report
+    report = ad.grad_check(lambda s: ad.reduce_sum(ad.mul(ad.propagate(t(stacks), s, COMPLETE_3, act), w)), t(states))
+    assert report.passed, report
+
+    g = rng.uniform(-1, 1, states.shape)
+    out = ad.propagate(t(stacks, True), t(states, True), COMPLETE_3, act)
+    g_stacks, g_states = out.op.rule(g)
+    rows = blocks * m
+    for k in range(graphs):
+        alone = ad.propagate(t(stacks[k], True), t(states[k * rows : (k + 1) * rows], True), COMPLETE_3, act)
+        np.testing.assert_array_equal(out.data[k * rows : (k + 1) * rows], alone.data)
+        ga_stack, ga_states = alone.op.rule(g[k * rows : (k + 1) * rows])
+        np.testing.assert_allclose(g_stacks[k], ga_stack, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(g_states[k * rows : (k + 1) * rows], ga_states, rtol=0, atol=1e-15)
+
+    for pairs in ([(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)], [(2, 0)]):
+        plan = ad.FlagPlan(COMPLETE_3, pairs)
+        w = t(rng.uniform(-1, 1, (2 * len(pairs) * m, d)))
+        report = ad.grad_check(
+            lambda a: ad.reduce_sum(ad.mul(ad.propagate_flags(a, FLAGS_2, plan, act), w)), t(stacks[:2]))
+        assert report.passed, report
+
+
+def test_flag_plan_reads_and_readers():
+    """For the pair (0, 2) of the complete 3-node graph: node 0 (the
+    subject) hears the object over edge (0, 2), node 1 both flags over
+    edges (1, 0) and (1, 2), node 2 the subject over edge (2, 0); every
+    message read is listed under its reader, the rest under the zero row."""
+    plan = ad.FlagPlan(COMPLETE_3, [(0, 2)])
+    zero = plan.messages
+    assert plan.messages == 12 and plan.rows == 3
+    assert plan.reads.tolist() == [[zero, 2 * 1 + 1], [2 * 2, 2 * 3 + 1], [2 * 4, zero]]
+    assert plan.idle.tolist() == [1.0, 0.0, 1.0]
+    heard = {int(q): sorted(int(r) for r in rows if r < plan.rows) for q, rows in enumerate(plan.readers)}
+    assert {q: r for q, r in heard.items() if r} == {3: [0], 4: [1], 7: [1], 8: [2]}
+    with pytest.raises(ShapeError, match="distinct"):
+        ad.FlagPlan(COMPLETE_3, [(1, 1)])
+    with pytest.raises(ShapeError, match="equally many"):
+        ad.FlagPlan([0, 0, 0, 1, 1, 2], [(0, 1)])
+    with pytest.raises(ShapeError, match="one edge per"):
+        ad.FlagPlan([0, 0, 1, 1], [(0, 1)])
+    with pytest.raises(ShapeError, match="propagate_flags"):
+        ad.propagate_flags(t(np.zeros((4, 2, 2))), FLAGS_2, plan, "relu")
+
+
+def test_segment_sums_keep_each_run_order_and_unstack_routes_gradients():
+    """Equal runs sum bit for bit as each run alone; unequal runs within
+    rounding.  ``unstack`` gives one scalar per element, and each scalar's
+    gradient reaches only its element."""
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0, 3, 13 * 30)
+    sums = ad.segment_sums(t(x), [30] * 13).data
+    assert sums.tolist() == [x[k * 30 : (k + 1) * 30].sum() for k in range(13)]
+    sizes = [2, 6, 30, 12]
+    mixed = ad.segment_sums(t(x[:50]), sizes).data
+    starts = np.cumsum([0] + sizes)
+    np.testing.assert_allclose(mixed, [x[a:b].sum() for a, b in zip(starts, starts[1:])], rtol=1e-15)
+    with pytest.raises(ShapeError, match="segment_sums"):
+        ad.segment_sums(t(x[:5]), [2, 2])
+    v = t(rng.uniform(-1, 1, 4), requires_grad=True)
+    parts = ad.unstack(ad.segment_sums(v, [1, 3]))
+    assert [p.shape for p in parts] == [(), ()]
+    ad.backward(ad.add(parts[1], ad.scale(parts[1], 2.0)))
+    assert v.grad.tolist() == [0.0, 3.0, 3.0, 3.0]
+    report = ad.grad_check(lambda u: ad.scale(ad.unstack(ad.segment_sums(u, [3, 4]))[1], -2.0),
+                           t(rng.uniform(-1, 1, 7)))
+    assert report.passed
+
+
 # ---------------------------------------------------------------------------
 # the prefix-shared recurrence
 

@@ -8,6 +8,7 @@ import re
 import shutil
 import struct
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -375,12 +376,53 @@ def test_empty_split_is_data_error_naming_the_file(tmp_path, trained_run, capsys
     assert f"{empty}: no sentence left after normalization" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_non_finite_embedding_is_a_data_error_naming_the_line(tmp_path, trained_run, capsys, value):
+    """A pretrained vector with a nan or infinite value stops ``train``
+    with exit 2 naming the file, the line and the value, before any
+    weight or loss sees it."""
+    data, _run = trained_run
+    word = json.loads((data / "train.jsonl").read_text(encoding="utf-8").splitlines()[0])["tokens"][0]
+    glove = tmp_path / "glove.txt"
+    bad = ["0.1"] * 49 + [value]
+    glove.write_text(f"unrelated {' '.join(['0.5'] * 50)}\n{word} {' '.join(bad)}\n", encoding="utf-8")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--train", str(data / "train.jsonl"), "--valid", str(data / "valid.jsonl"),
+                 "--relations", str(data / "relations.json"), "--embeddings", str(glove),
+                 "--config", str(write_config(tmp_path, word_dim=50)), "--out", str(out)]) == EXIT_DATA
+    assert f"error: {glove}:2: non-finite embedding value {value!r}" in capsys.readouterr().err
+    assert not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("where, key", [("entities", "end"), ("triples", "o")])
+@pytest.mark.parametrize("value", [1.9, "0", True], ids=["float", "string", "bool"])
+def test_corpus_integer_fields_must_be_json_integers(tmp_path, trained_run, capsys, where, key, value):
+    """Entity spans and triple indices are JSON integers: a float, a
+    string or a bool exits 2 naming the file, the line and the field,
+    where ``int()`` once read 1.9 as 1."""
+    data, _run = trained_run
+    lines = (data / "train.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record[where][0][key] = value
+    lines[1] = json.dumps(record)
+    train = tmp_path / "train.jsonl"
+    train.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--train", str(train), "--valid", str(data / "valid.jsonl"),
+                 "--relations", str(data / "relations.json"), "--config", str(write_config(tmp_path)),
+                 "--out", str(tmp_path / "run")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: {train}:2: " in err and f"{key!r} must be a JSON integer, got {json.dumps(value)}" in err
+
+
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_non_finite_probabilities_are_a_numeric_failure(tmp_path, trained_run, capsys, command):
     data, run = trained_run
     bad = tmp_path / "run"
     shutil.copytree(run, bad)
-    model, _config, _relations, _digest = load_trained_model(bad)
+    model, _config, _relations, digest = load_trained_model(bad)
+    digest.hexdigest()  # the hash reads the parameters' bytes; write after it
     dict(model.store.named())["head.layer1.b"].data[0] = np.nan
     model.store.save(bad / "checkpoint.bin")
     first = json.loads((data / "test.jsonl").read_text(encoding="utf-8").splitlines()[0])["id"]
@@ -405,6 +447,7 @@ def test_loaded_parameters_are_aligned_writable_views_of_the_bytes_read(tmp_path
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     monkeypatch.setattr(np.random, "SeedSequence", no_draws)
     model, _config, _relations, digest = load_trained_model(run)
+    digest = digest.hexdigest()
     monkeypatch.undo()
     raw = (run / "checkpoint.bin").read_bytes()
     assert digest == hashlib.sha256(raw).hexdigest()
@@ -421,6 +464,42 @@ def test_loaded_parameters_are_aligned_writable_views_of_the_bytes_read(tmp_path
     assert main(["eval", "--model-dir", str(run), "--data", str(data / "test.jsonl"), "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["inputs"][str(run / "checkpoint.bin")] == digest
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_hash_runs_beside_the_model_and_is_always_joined(tmp_path, trained_run, capsys, command):
+    """eval and predict hash checkpoint.bin on a second thread while the
+    model runs.  The manifest holds the SHA-256 of the file, and no thread
+    outlives the call: not on success, not on a data error after the hash
+    began (a missing data file, a checkpoint that does not fit the model),
+    and not on a truncated checkpoint, which still exits 2 naming it."""
+    data, run = trained_run
+    before = set(threading.enumerate())
+
+    def call(model_dir, data_file, out):
+        return main([command, "--model-dir", str(model_dir), "--data", str(data_file), "--out", str(tmp_path / out)])
+
+    assert call(run, data / "test.jsonl", "ok") == EXIT_OK
+    manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+    raw = (run / "checkpoint.bin").read_bytes()
+    assert manifest["inputs"][str(run / "checkpoint.bin")] == hashlib.sha256(raw).hexdigest()
+    assert set(threading.enumerate()) == before
+
+    assert call(run, tmp_path / "missing.jsonl", "missing") == EXIT_DATA
+    assert set(threading.enumerate()) == before
+    wider = tmp_path / "wider"
+    shutil.copytree(run, wider)
+    _hidden_size_30(wider)
+    assert call(wider, data / "test.jsonl", "wider") == EXIT_DATA
+    assert set(threading.enumerate()) == before
+
+    cut = tmp_path / "cut"
+    shutil.copytree(run, cut)
+    (cut / "checkpoint.bin").write_bytes(raw[: len(raw) // 2])
+    capsys.readouterr()
+    assert call(cut, data / "test.jsonl", "cut") == EXIT_DATA
+    assert str(cut / "checkpoint.bin") in capsys.readouterr().err
+    assert set(threading.enumerate()) == before
 
 
 # the length prefix is the file's first 8 bytes, little-endian: bit 63 is

@@ -14,7 +14,10 @@ from gpgnn.model import (
     batch_losses,
     build_entity_graph,
     encode_edge_rows,
+    flag_plan,
     flag_states,
+    flag_vectors,
+    message_sources,
     predict_pairs,
     propagate_layer,
     transition_matrices,
@@ -44,6 +47,7 @@ from reference import (
     pair_outputs,
     pair_representation,
     run_propagation,
+    sentence_stacks,
     transition_matrix,
 )
 
@@ -172,15 +176,17 @@ def test_matrices_have_d_n_shape_per_edge():
     s = three_entity_sentence()
     model = tiny_model([s])
     graph = build_entity_graph(s)
-    (mats,) = transition_matrices(model, [graph])
+    mats = transition_matrices(model, [graph])
     assert len(mats.stacks) == 2
+    stacks = sentence_stacks(mats, [graph], 0)
     for n in range(2):
-        assert mats.stacks[n].shape == (6, 4, 4)
-        assert transition_matrix(mats, graph, n, 2, 1).shape == (4, 4)
+        assert mats.stacks[n].shape == (6, 16)
+        assert stacks[n].shape == (6, 4, 4)
+        assert transition_matrix(stacks, graph, n, 2, 1).shape == (4, 4)
     # per-edge accessor rows match the stacked layout
     row = edge_row(graph, 2, 1)
     assert graph.edges[row] == (2, 1)
-    np.testing.assert_array_equal(transition_matrix(mats, graph, 0, 2, 1).data, mats.stacks[0].data[row])
+    np.testing.assert_array_equal(transition_matrix(stacks, graph, 0, 2, 1), mats.stacks[0].data[row].reshape(4, 4))
 
 
 def test_zero_final_mlp_layer_gives_zero_matrices():
@@ -189,19 +195,18 @@ def test_zero_final_mlp_layer_gives_zero_matrices():
     for enc in model.encoders:
         enc.mlp.weights[-1].data[:] = 0.0
         enc.mlp.biases[-1].data[:] = 0.0
-    (mats,) = transition_matrices(model, [build_entity_graph(s)])
-    for stack in mats.stacks:
+    for stack in transition_matrices(model, [build_entity_graph(s)]).stacks:
         np.testing.assert_array_equal(stack.data, 0.0)
 
 
 def test_untied_layers_differ_tied_layers_match():
     s = three_entity_sentence()
     untied = tiny_model([s], seed=9)
-    (mats,) = transition_matrices(untied, [build_entity_graph(s)])
+    mats = transition_matrices(untied, [build_entity_graph(s)])
     assert np.abs(mats.stacks[0].data - mats.stacks[1].data).max() > 1e-6
 
     tied = tiny_model([s], seed=9, tied=True)
-    (mats,) = transition_matrices(tied, [build_entity_graph(s)])
+    mats = transition_matrices(tied, [build_entity_graph(s)])
     np.testing.assert_array_equal(mats.stacks[0].data, mats.stacks[1].data)
 
 
@@ -210,13 +215,13 @@ def test_generate_matches_contract_composition():
     s = three_entity_sentence()
     model = tiny_model([s])
     graph = build_entity_graph(s)
-    (mats,) = transition_matrices(model, [graph])
+    mats = transition_matrices(model, [graph])
     for k, edge in enumerate(graph.edges):
         ctx = encode_edge_context(s, edge, model.word_table, model.pos_table, model.vocab)
         enc = model.encoders[1]
         vec = mlp_vector(enc.mlp, bilstm_encode(enc.lstm_fwd, enc.lstm_bwd, ctx))
         np.testing.assert_allclose(
-            mats.stacks[1].data[k], vec.data.reshape(4, 4), atol=1e-12
+            mats.stacks[1].data[k].reshape(4, 4), vec.data.reshape(4, 4), atol=1e-12
         )
 
 
@@ -288,6 +293,30 @@ def test_propagation_matches_naive_loop(m, d_n, activation, blocks, seed):
         rows = slice(b * m, (b + 1) * m)
         slow = naive_propagate(states[rows].tolist(), mats.tolist(), edges, activation)
         np.testing.assert_allclose(fast[rows], np.array(slow), atol=1e-12)
+
+
+@given(st.integers(2, 9), st.sampled_from([2, 4, 8, 12]), st.sampled_from(["relu", "tanh", "sigmoid"]),
+       st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_flag_layer_is_propagation_of_the_flag_states(m, d_n, activation, graphs, some_pairs, seed):
+    """The first layer straight from the flags equals ``propagate_layer`` on
+    ``flag_states``, graph by graph, for every target pair or a random few:
+    bit for bit for relu and tanh, whose act(0) = 0 adds exact zeros, and
+    within (m-1)**2 * 2**-52 for the sigmoid, whose m-1 terms it adds in
+    another order."""
+    r = np.random.default_rng(seed)
+    pairs = ordered_pairs(m)
+    if some_pairs:
+        pairs = [pairs[k] for k in sorted(r.choice(len(pairs), int(r.integers(1, len(pairs) + 1)), replace=False))]
+    stacks = r.uniform(-1, 1, (graphs, m * (m - 1), d_n, d_n))
+    plan = flag_plan(m) if not some_pairs else ad.FlagPlan(message_sources(m), pairs)
+    fast = ad.propagate_flags(Tensor(stacks), np.stack(flag_vectors(d_n)), plan, activation).data
+    states, _subj, _obj = flag_states(m, d_n, pairs)
+    slow = np.concatenate([propagate_layer(states, Tensor(stack), activation).data for stack in stacks])
+    if activation == "sigmoid":
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=(m - 1) ** 2 * 2.0**-52)
+    else:
+        assert np.array_equal(fast, slow)
 
 
 def _recorded(out):
@@ -427,8 +456,7 @@ def test_sentence_loss_decomposes_into_pair_losses():
     total = batch_losses(model, [s])[0].item()
     graph = build_entity_graph(s)
     labels = s.label_map()
-    (mats,) = transition_matrices(model, [graph])
-    by_layer = [[m.tolist() for m in stack.data] for stack in mats.stacks]
+    by_layer = [stack.tolist() for stack in sentence_stacks(transition_matrices(model, [graph]), [graph], 0)]
     parts = 0.0
     for pair in graph.edges:
         states = run_propagation(graph, by_layer, pair, model.dims.d_n, model.dims.layers,
@@ -494,6 +522,39 @@ def test_batched_path_matches_per_pair_reference(layers, tied):
     )
 
 
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+def test_batched_path_matches_per_pair_reference_for_each_activation(activation):
+    """The mixed-m batch (m = 2 and 3 together) against the per-pair
+    reference with the first layer's act(0) = 0 (tanh) and 0.5 (sigmoid),
+    tied and untied, K = 2."""
+    sentences = mixed_batch()
+    for tied in (False, True):
+        model = tiny_model(sentences, seed=13, layers=2, tied=tied, activation=activation)
+        expected = [pair_outputs(model, s) for s in sentences]
+        losses = batch_losses(model, sentences, na_weight=0.5)
+        for loss, (_probs, pair_losses, targets) in zip(losses, expected):
+            na_scaled = np.where(targets == 0, 0.5, 1.0) * pair_losses
+            assert loss.item() == pytest.approx(na_scaled.sum(), abs=1e-12)
+        predicted = np.stack([p.probs for p in predict_pairs(model, sentences)])
+        np.testing.assert_allclose(predicted, np.concatenate([e[0] for e in expected]), rtol=0, atol=1e-12)
+
+
+def test_tape_grows_by_two_records_per_sentence():
+    """After the encoder the model runs once per batch: 20 sentences of
+    one shape record exactly 2 more tape records per extra sentence than 2
+    do, the per-sentence loss scalar and the trainer's reshape of it."""
+    base = three_entity_sentence()
+
+    def records(n):
+        batch = [Sentence(f"copy-{k}", base.tokens, base.entities, base.triples) for k in range(n)]
+        model = tiny_model(batch, dropout=0.5)
+        losses = batch_losses(model, batch, training=True, rng=np.random.default_rng(0), na_weight=0.5)
+        mean = ad.scale(ad.reduce_sum(ad.concat([ad.reshape(l, (1,)) for l in losses], axis=0)), 1.0 / n)
+        return len(_recorded(mean))
+
+    assert records(20) - records(2) == 2 * 18
+
+
 def test_na_weight_downscales_na_pairs():
     s = two_entity_sentence()  # (0,1) gold likes, (1,0) reversed liked_by: no NA
     s3 = three_entity_sentence()  # has NA pairs
@@ -503,7 +564,7 @@ def test_na_weight_downscales_na_pairs():
     graph = build_entity_graph(s3)
     labels = s3.label_map()
     na_share = 0.0
-    logits_all = model.pair_logits(graph, transition_matrices(model, [graph])[0], graph.edges)
+    logits_all = model.pair_logits([graph], transition_matrices(model, [graph]))
     for k, pair in enumerate(graph.edges):
         target = model.relations.index(labels[pair])
         part = neg_log_softmax(logits_all.data[k], target)

@@ -9,7 +9,17 @@ without its ``wall_ms`` fields, each evaluation's ``metrics.json``,
 ``predictions.jsonl`` and ``pr_curve.csv`` (null when not written), and
 ``predict``'s ``predictions.jsonl``.  Manifests are left out: they name the
 output directory.  Standard output is one JSON object, case name to file
-name to hash; compare it between checkouts.
+name to hash, plus, under ``machine``, the facts of the machine that the
+bits depend on (``gpgnn.cli.machine_facts``: the BLAS library, its
+thread-count variables and the usable CPU count); compare the hashes
+between checkouts, knowing the machines.
+
+The ``reference`` case's training BiLSTMs (hidden size 256) run their two
+directions on two threads on a host that grants the process 2 CPUs; its
+``eval`` and ``predict`` run them on one, since the checkpoint check holds
+the second CPU, and the other cases (hidden size 32) stay below the
+crossover and run them on one (``gpgnn.autodiff.takes_worker``).  The bits
+are the same either way.
 
 ``--models PARENT_OUT`` checks the forward pass apart from training: it
 trains nothing, and evaluates and predicts with the corpora and trained run
@@ -42,7 +52,7 @@ import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
-from gpgnn.cli import EXIT_OK, main  # noqa: E402
+from gpgnn.cli import EXIT_OK, machine_facts, main  # noqa: E402
 
 # the depth experiment's model (scripts/depth_experiment.py) at lr 0.002
 DEPTH = dict(layers=2, learning_rate=0.002, batch_size=12, dropout=0.1, hidden_size=32,
@@ -149,4 +159,5 @@ if __name__ == "__main__":
                 run: prob_diff(root / name / run / "predictions.jsonl", parent / run / "predictions.jsonl")
                 for run in ("eval-predictions", "eval-gold-size", "predict")
             }
+    hashes["machine"] = machine_facts()
     print(json.dumps(hashes, indent=1, sort_keys=True))

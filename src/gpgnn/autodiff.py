@@ -8,11 +8,14 @@ reverse.  Gradients accumulate additively, so a tensor used n times receives
 the sum of its n contributions.  Only leaves (tensors no op produced, such as
 parameters) receive ``grad``; an intermediate gradient lives only until its
 op's rule has run.  One ``lstm_sequence`` record covers a whole LSTM run,
-and one ``propagate`` or ``propagate_flags`` record a whole message-passing
-layer over many graphs.  The LSTM runs
-over a ``SequencePlan``, the prefix forest of its batch's sequences, so a
-prefix that several sequences share is computed once; a plan that shares
-nothing is the dense batch.  Each activation's values and derivative are
+one ``bilstm_sequence`` record a whole bidirectional one, and one
+``propagate`` or ``propagate_flags`` record a whole message-passing layer
+over many graphs.  ``bilstm_sequence`` may run its forward direction on the
+process's one worker thread, started on first use, while the caller runs
+the backward direction, with the bits of one thread.  The LSTM runs over a
+``SequencePlan``, the prefix forest of its batch's sequences, so a prefix
+that several sequences share is computed once; a plan that shares nothing
+is the dense batch.  Each activation's values and derivative are
 written once, in ``ACTIVATIONS``.  The sigmoid is 0.5 * tanh(0.5 * x) + 0.5,
 one tanh pass that never overflows, within 2**-52 (absolute) of
 1 / (1 + exp(-x)); the same identity lets ``lstm_sequence`` take all four
@@ -25,6 +28,8 @@ decisive rather than suggestive.
 
 from __future__ import annotations
 
+import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -48,6 +53,11 @@ __all__ = [
     "gather_rows",
     "SequencePlan",
     "lstm_sequence",
+    "bilstm_sequence",
+    "PARALLEL_MIN_MULADDS",
+    "spare_cpus",
+    "takes_worker",
+    "usable_cpus",
     "propagate",
     "FlagPlan",
     "propagate_flags",
@@ -442,43 +452,26 @@ class SequencePlan:
         return self.node_inputs.size
 
 
-def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, plan: SequencePlan) -> Tensor:
-    """An LSTM from zero states over the sequences of a ``SequencePlan``.
-
-    ``x`` holds input rows that the plan's ids index.  ``w`` (D, 4H),
-    ``u`` (H, 4H) and ``b`` (4H,) lay out the input, forget, output and
-    candidate gate blocks side by side.  The recurrence runs once per plan
-    node, a level at a time: ``(x @ w)[input] + (h @ u)[parent] + b``, with
-    no ``h @ u`` at the root level, whose parent state is zero.  Returns each
-    sequence's final (N, H) hidden state in sequence order as one tape
-    record.  Its rule is backpropagation through time over the nodes: a
-    parent's state gradients are the sums of its children's.  The input
-    gradients come from one product over all nodes, whose x rows are then
-    summed per input row.
-
-    The gates take one tanh.  sigma(z) = 0.5 * tanh(0.5 * z) + 0.5, and
-    halving a float is exact, so with the i, f and o columns of ``w``,
-    ``u`` and ``b`` halved once per call, those columns of z come out as
-    exactly 0.5 * z: one ``tanh`` over each level's whole (n, 4H) block,
-    then ``* 0.5 + 0.5`` on its first 3H columns, gives the three gates bit
-    for bit as ``ACTIVATIONS["sigmoid"]`` would, and the candidate.
-
-    Sharing a state between sequences is exact because nothing random (no
-    dropout) touches the inputs or the states: a node's state is a function
-    of its prefix alone.
-    """
+def _check_lstm_operands(x: Tensor, w: Tensor, u: Tensor, b: Tensor, plan: SequencePlan, op: str) -> None:
     hd = u.shape[0]
     if x.ndim != 2 or x.shape[0] <= plan.input_rows[-1]:
-        raise ShapeError(f"lstm_sequence input rows {x.shape} do not hold the plan's row {plan.input_rows[-1]}")
+        raise ShapeError(f"{op} input rows {x.shape} do not hold the plan's row {plan.input_rows[-1]}")
     if w.shape != (x.shape[1], 4 * hd) or u.shape != (hd, 4 * hd) or b.shape != (4 * hd,):
-        raise ShapeError(f"lstm_sequence gate blocks {w.shape}/{u.shape}/{b.shape} do not fit rows {x.shape}")
-    xd, wd, ud = x.data, w.data, u.data
+        raise ShapeError(f"{op} gate blocks {w.shape}/{u.shape}/{b.shape} do not fit rows {x.shape}")
+
+
+def _lstm_direction(xd: np.ndarray, wd: np.ndarray, ud: np.ndarray, bd: np.ndarray, plan: SequencePlan):
+    """One direction's recurrence over ``plan`` on plain arrays: each
+    sequence's final (N, H) hidden state, and the rule mapping its gradient
+    to the gradients of x, w, u and b (see ``lstm_sequence``).  It touches
+    no tape, so either may run on any thread."""
+    hd = ud.shape[0]
     sigmoid_rule = ACTIVATIONS["sigmoid"][1]
     tanh_rule = ACTIVATIONS["tanh"][1]
     half = np.ones(4 * hd)
     half[: 3 * hd] = 0.5
     xw = _matmul_rows(xd, wd * half)
-    u_half, b_half = ud * half, b.data * half
+    u_half, b_half = ud * half, bd * half
     saved = []
     h = c = None
     for inputs, parents in zip(plan.inputs, plan.parents):
@@ -520,7 +513,144 @@ def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, plan: SequencePlan
         gx[plan.input_rows] = np.add.reduceat((gz_all @ wd.T)[plan.input_order], plan.input_runs)
         return gx, xd[plan.node_inputs].T @ gz_all, gu, gz_all.sum(axis=0)
 
-    return _result(h[plan.final], (x, w, u, b), rule)
+    return h[plan.final], rule
+
+
+def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, plan: SequencePlan) -> Tensor:
+    """An LSTM from zero states over the sequences of a ``SequencePlan``.
+
+    ``x`` holds input rows that the plan's ids index.  ``w`` (D, 4H),
+    ``u`` (H, 4H) and ``b`` (4H,) lay out the input, forget, output and
+    candidate gate blocks side by side.  The recurrence runs once per plan
+    node, a level at a time: ``(x @ w)[input] + (h @ u)[parent] + b``, with
+    no ``h @ u`` at the root level, whose parent state is zero.  Returns each
+    sequence's final (N, H) hidden state in sequence order as one tape
+    record.  Its rule is backpropagation through time over the nodes: a
+    parent's state gradients are the sums of its children's.  The input
+    gradients come from one product over all nodes, whose x rows are then
+    summed per input row.
+
+    The gates take one tanh.  sigma(z) = 0.5 * tanh(0.5 * z) + 0.5, and
+    halving a float is exact, so with the i, f and o columns of ``w``,
+    ``u`` and ``b`` halved once per call, those columns of z come out as
+    exactly 0.5 * z: one ``tanh`` over each level's whole (n, 4H) block,
+    then ``* 0.5 + 0.5`` on its first 3H columns, gives the three gates bit
+    for bit as ``ACTIVATIONS["sigmoid"]`` would, and the candidate.
+
+    Sharing a state between sequences is exact because nothing random (no
+    dropout) touches the inputs or the states: a node's state is a function
+    of its prefix alone.
+    """
+    _check_lstm_operands(x, w, u, b, plan, "lstm_sequence")
+    y, rule = _lstm_direction(x.data, w.data, u.data, b.data, plan)
+    return _result(y, (x, w, u, b), rule)
+
+
+# The smallest h @ U work per level, in multiply-adds, at which
+# ``bilstm_sequence`` hands a direction to the worker thread.  Below it the
+# handoff and the two threads' contention for the interpreter lock cost
+# more than the overlap saves; see the README for the measured crossover.
+PARALLEL_MIN_MULADDS = 2_000_000
+
+_worker_lock = threading.Lock()
+_worker = None  # (pid, executor): the process's one worker, once started
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def spare_cpus() -> int:
+    """The CPUs this process may use beyond one for each of its live
+    threads but the worker, which is idle between records.  The calling
+    thread counts, and so does any other, busy or not: the checkpoint hash
+    of ``gpgnn eval`` holds a CPU while it runs."""
+    worker = _worker is not None and _worker[0] == os.getpid()
+    return usable_cpus() - (threading.active_count() - worker)
+
+
+def takes_worker(u_sizes: Sequence[int], plans: Sequence[SequencePlan]) -> bool:
+    """Whether ``bilstm_sequence`` runs a direction on the worker thread:
+    the smaller direction's mean h @ U work per level (its plan's nodes per
+    level times the u.size = 4H * H multiply-adds of each node) reaches
+    ``PARALLEL_MIN_MULADDS``, and a CPU is spare for the worker."""
+    levels = len(plans[0].inputs)
+    per_level = min(plan.nodes * size for plan, size in zip(plans, u_sizes)) / levels
+    return per_level >= PARALLEL_MIN_MULADDS and spare_cpus() >= 1
+
+
+def _lstm_worker():
+    """The process's one worker thread, as an executor of one thread,
+    started on first use.  A forked child inherits no threads, so it starts
+    its own."""
+    global _worker
+    with _worker_lock:
+        if _worker is None or _worker[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="gpgnn-lstm")
+        return _worker[1]
+
+
+def _side_by_side(first: Callable, second: Callable, threaded: bool):
+    """``(first(), second())``.  Threaded, ``first`` runs on the worker
+    thread, under a copy of the caller's context so that the caller's
+    ``np.errstate`` holds there too, while ``second`` runs here.  The worker
+    is always waited for, and its exception wins over this thread's, as on
+    the serial path, where ``first`` runs first."""
+    if not threaded:
+        return first(), second()
+    import contextvars
+
+    future = _lstm_worker().submit(contextvars.copy_context().run, first)
+    try:
+        out = second()
+    finally:
+        ahead = future.result()
+    return ahead, out
+
+
+def bilstm_sequence(
+    x: Tensor,
+    fwd: Sequence[Tensor],
+    bwd: Sequence[Tensor],
+    fwd_plan: SequencePlan,
+    bwd_plan: SequencePlan,
+) -> Tensor:
+    """A bidirectional LSTM as one tape record: ``lstm_sequence`` over
+    ``fwd_plan`` with the (w, u, b) of ``fwd``, and over ``bwd_plan`` with
+    those of ``bwd``, their final states side by side as (N, H_f + H_b).
+    The two plans read one id array in its two directions.
+
+    The directions share nothing but ``x``.  Where ``takes_worker`` says
+    the work pays for it, the forward direction's recurrence, and in the
+    rule its backpropagation, runs on the process's one worker thread
+    while the calling thread runs the backward direction's.  Each direction
+    runs the same numpy code on the same operands wherever it runs, so
+    outputs and gradients are bit for bit the serial ones.  ``x`` is listed
+    once per direction among the record's inputs, so ``backward`` adds its
+    two gradients in one fixed order, forward first."""
+    if fwd_plan.sequences != bwd_plan.sequences or len(fwd_plan.inputs) != len(bwd_plan.inputs):
+        raise ShapeError(f"direction plans disagree: {fwd_plan.sequences} vs {bwd_plan.sequences} sequences "
+                         f"of {len(fwd_plan.inputs)} vs {len(bwd_plan.inputs)} steps")
+    _check_lstm_operands(x, *fwd, fwd_plan, "bilstm_sequence forward")
+    _check_lstm_operands(x, *bwd, bwd_plan, "bilstm_sequence backward")
+    threaded = takes_worker((fwd[1].size, bwd[1].size), (fwd_plan, bwd_plan))
+    (h_f, rule_f), (h_b, rule_b) = _side_by_side(
+        lambda: _lstm_direction(x.data, *(t.data for t in fwd), fwd_plan),
+        lambda: _lstm_direction(x.data, *(t.data for t in bwd), bwd_plan),
+        threaded)
+    split = h_f.shape[1]
+
+    def rule(g: np.ndarray):
+        g_f, g_b = _side_by_side(lambda: rule_f(g[:, :split]), lambda: rule_b(g[:, split:]), threaded)
+        return g_f + g_b
+
+    return _result(np.concatenate([h_f, h_b], axis=1), (x, *fwd, x, *bwd), rule)
 
 
 # ---------------------------------------------------------------------------

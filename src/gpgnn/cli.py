@@ -2,7 +2,8 @@
 reproducible runs.
 
 Every command writes a manifest next to its outputs recording the command,
-config, seed and sub-seed names, library versions, and input file hashes.
+config, seed and sub-seed names, library versions, input file hashes, and
+the machine facts the bits depend on (``machine_facts``).
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure (non-finite
 loss, weights or probabilities, a non-finite gradient-check probe, or a
 failed gradient check).
@@ -14,12 +15,14 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .autodiff import usable_cpus
 from .corpus import (
     CorpusError,
     ParseError,
@@ -169,6 +172,27 @@ def _parse_mid_tokens(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def machine_facts() -> dict:
+    """The facts of the running machine that a run's bits and speed depend on:
+    the BLAS library numpy calls (null before numpy 1.25, which cannot
+    say), the BLAS thread-count variables as set (null where unset), and
+    how many CPUs this process may use, which decides whether a BiLSTM
+    takes a second thread (``autodiff.takes_worker``)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        library = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):
+        library = None
+    return {
+        "blas": library,
+        "blas_thread_variables": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+        "usable_cpus": usable_cpus(),
+    }
+
+
 def _write_manifest(out_dir: Path, command: str, argv, seed, inputs, outputs, counts, config=None, read=None):
     """``read`` maps an input path to the SHA-256 of the bytes the command
     already read from it; every other input is hashed here."""
@@ -178,6 +202,7 @@ def _write_manifest(out_dir: Path, command: str, argv, seed, inputs, outputs, co
         "argv": list(argv),
         "package_version": __version__,
         "numpy_version": np.__version__,
+        "machine": machine_facts(),
         "seed": seed,
         "sub_seeds": list(SUB_SEEDS),
         "inputs": {str(p): read.get(str(p)) or _sha256(p) for p in inputs},
@@ -386,14 +411,21 @@ def load_trained_model(model_dir) -> tuple[GpGnn, TrainConfig, RelationVocab, Ba
 
 def _predict_while_hashing(args):
     """The model in ``args.model_dir``, its config, and its predictions on
-    ``args.data``, with the checkpoint hashed on a second thread meanwhile;
-    the thread is joined on every way out."""
+    ``args.data``, with the checkpoint hashed and its parameters checked on
+    a second thread meanwhile; the thread is joined on every way out.  A
+    non-finite parameter is a FloatingPointError naming the first in name
+    order.  It is raised after prediction, so probabilities that a NaN made
+    non-finite are reported first, naming the sentence; a NaN that a relu
+    hid from them is still caught here."""
     model, config, relations, digest = load_trained_model(args.model_dir)
     try:
         data, skips = _load_split(args.data, relations)
         records = predict_pairs(model, data)
     finally:
         checkpoint_sha256 = digest.hexdigest()
+    bad = digest.non_finite()
+    if bad is not None:
+        raise FloatingPointError(f"{Path(args.model_dir) / 'checkpoint.bin'}: parameter {bad!r} is not finite")
     return config, relations, records, skips, checkpoint_sha256
 
 

@@ -29,10 +29,10 @@ from .autodiff import (
     Tensor,
     activation_fn,
     add_bias,
+    bilstm_sequence,
     concat,
     dropout,
     gather_rows,
-    lstm_sequence,
     matmul,
 )
 
@@ -155,21 +155,19 @@ def bilstm_encode_batch(
     """Bidirectional encoder over the N sequences of two ``SequencePlan``s
     of the same id array, one per reading direction, whose ids index
     ``rows``.  Each direction runs once per distinct prefix of its plan, not
-    once per sequence and timestep.  Returns (N, 2H) in sequence order."""
-    if fwd_plan.sequences != bwd_plan.sequences:
-        raise ShapeError(f"direction plans disagree: {fwd_plan.sequences} vs {bwd_plan.sequences} sequences")
-    h_f = _run_direction(fwd, rows, fwd_plan)
-    h_b = _run_direction(bwd, rows, bwd_plan)
-    return concat([h_f, h_b], axis=1)
+    once per sequence and timestep.  Returns (N, 2H) in sequence order, as
+    one ``bilstm_sequence`` record, which runs the two directions on two
+    threads where a level's work pays for it and a CPU is spare, with the
+    same bits as on one."""
+    return bilstm_sequence(rows, _fused_gates(fwd), _fused_gates(bwd), fwd_plan, bwd_plan)
 
 
-def _run_direction(p: LstmParams, rows: Tensor, plan: SequencePlan) -> Tensor:
+def _fused_gates(p: LstmParams) -> tuple[Tensor, Tensor, Tensor]:
     # fuse the four gate blocks into one wide matrix per input; the concats
     # are on the tape, so gradients land back in the per-gate tensors
-    w_all = concat([p.w_i, p.w_f, p.w_o, p.w_c], axis=1)
-    u_all = concat([p.u_i, p.u_f, p.u_o, p.u_c], axis=1)
-    b_all = concat([p.b_i, p.b_f, p.b_o, p.b_c], axis=0)
-    return lstm_sequence(rows, w_all, u_all, b_all, plan)
+    return (concat([p.w_i, p.w_f, p.w_o, p.w_c], axis=1),
+            concat([p.u_i, p.u_f, p.u_o, p.u_c], axis=1),
+            concat([p.b_i, p.b_f, p.b_o, p.b_c], axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -334,29 +332,41 @@ def save_checkpoint(path, tensors: dict[str, Tensor]) -> None:
 
 
 class BackgroundSha256:
-    """The SHA-256 of some buffers, computed on a second thread.  hashlib
-    releases the GIL over large buffers, so the hash runs beside whatever
-    the caller does next.  The buffers must not change until
-    ``hexdigest()``, which joins the thread, has returned."""
+    """The SHA-256 of some buffers, computed on a second thread, which then
+    also finds the first of some named arrays, in name order, that holds a
+    value that is not finite.  hashlib and numpy release the GIL over large
+    buffers, so both run beside whatever the caller does next.  The buffers
+    must not change until ``hexdigest()``, which joins the thread, has
+    returned."""
 
-    def __init__(self, *buffers):
+    def __init__(self, *buffers, arrays: dict[str, np.ndarray] | None = None):
         self._hash = hashlib.sha256()
-        self._thread = threading.Thread(target=self._run, args=(buffers,), name="sha256", daemon=True)
+        self._non_finite: str | None = None
+        self._thread = threading.Thread(target=self._run, args=(buffers, arrays or {}), name="sha256",
+                                        daemon=True)
         self._thread.start()
 
-    def _run(self, buffers) -> None:
+    def _run(self, buffers, arrays: dict[str, np.ndarray]) -> None:
         for buffer in buffers:
             self._hash.update(buffer)
+        self._non_finite = next((name for name in sorted(arrays) if not np.isfinite(arrays[name]).all()), None)
 
     def hexdigest(self) -> str:
         self._thread.join()
         return self._hash.hexdigest()
 
+    def non_finite(self) -> str | None:
+        """The first named array, in name order, with a NaN or an infinity,
+        or None; joins the thread."""
+        self._thread.join()
+        return self._non_finite
+
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], BackgroundSha256]:
     """Read a file that ``save_checkpoint`` wrote, in one pass: the tensors
     by name, and the SHA-256 of the bytes read, which a second thread
-    computes from the moment the file has been checked.
+    computes from the moment the file has been checked, and which then
+    looks for the first tensor holding a value that is not finite.
 
     The length prefix is checked against the file's size before anything is
     allocated.  The data then goes by one ``readinto`` into one float64
@@ -403,4 +413,4 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], BackgroundSha256]:
             )
         end = start + 8 * count
         arrays[name] = data[start // 8 : end // 8].reshape(shape)
-    return arrays, BackgroundSha256(prefix, raw_header, data_bytes)
+    return arrays, BackgroundSha256(prefix, raw_header, data_bytes, arrays=arrays)

@@ -16,7 +16,10 @@ marker rows, so many share a (token, marker) prefix or suffix.  The
 encoder's BiLSTM runs over a prefix forest of each length group's contexts
 (``autodiff.SequencePlan``, one per direction, shared by every layer's
 encoder) and so computes each distinct prefix's and suffix's state once.
-Its outputs are bit for bit those of running every context apart.
+Its outputs are bit for bit those of running every context apart.  Each
+encoder's BiLSTM is one tape record, whose two directions run on two
+threads where a level's work pays for it (``autodiff.takes_worker``), with
+the same bits as on one.
 
 Everything after the encoder runs once per batch.  Sentences with the same
 m form a group, a disjoint union of graphs: per layer, one op propagates

@@ -112,6 +112,19 @@ def test_criterion_1_gradient_oracle():
             return ad.reduce_sum(ad.mul(ad.propagate_flags(p, flags, flag_plan(3), act), c))
 
         checks[f"propagate_flags_{act}"] = (flag_loss, prop_args["matrices"])
+    # bilstm_sequence over the same sequences, its forward direction on
+    # lstm_sequence's operands and its backward direction on gate blocks of
+    # its own, against each of its 7 operands
+    bi_args = {"x": lstm_args["x"], "w_f": lstm_args["w"], "u_f": lstm_args["u"], "b_f": lstm_args["b"],
+               "w_b": u(3, 8), "u_b": u(2, 8), "b_b": u(8)}
+    for wrt in bi_args:
+        def bilstm_loss(p, wrt=wrt, plans=(ad.SequencePlan(ids), ad.SequencePlan(ids, True)),
+                        c=Tensor(u(4, 4)), fixed={k: Tensor(v) for k, v in bi_args.items()}):
+            a = {**fixed, wrt: p}
+            out = ad.bilstm_sequence(a["x"], (a["w_f"], a["u_f"], a["b_f"]), (a["w_b"], a["u_b"], a["b_b"]), *plans)
+            return ad.reduce_sum(ad.mul(out, c))
+
+        checks[f"bilstm_sequence_{wrt}"] = (bilstm_loss, bi_args[wrt])
     worst_op, worst_err = None, 0.0
     for name, (f, point) in checks.items():
         result = ad.grad_check(f, Tensor(np.asarray(point)), step=step, tol=tol)

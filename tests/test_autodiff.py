@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,6 +461,189 @@ def test_sequence_plan_shares_prefixes_and_suffixes():
         ad.SequencePlan(np.zeros((0, 3), dtype=int))
     with pytest.raises(ShapeError, match="input rows"):
         ad.lstm_sequence(t(np.zeros((4, 3))), t(np.zeros((3, 8))), t(np.zeros((2, 8))), t(np.zeros(8)), forward)
+
+
+# ---------------------------------------------------------------------------
+# the two-direction record and its worker thread
+
+
+def _worker_threads() -> list[threading.Thread]:
+    return [th for th in threading.enumerate() if th.name.startswith("gpgnn-lstm")]
+
+
+def bilstm_bit_mismatches(hd: int = 256, seed: int = 0, repeats: int = 2) -> list[str]:
+    """Run ``bilstm_sequence`` forward and backward on the threaded and on
+    the serial path over one prefix-shared batch, ``repeats`` times each;
+    return the names of the output and operand gradients whose bits differ
+    (empty when all agree), after checking that the threaded path ran.  It
+    sets the module's crossover and spare CPU count itself, so a subprocess
+    can call it."""
+    rng = np.random.default_rng(seed)
+    width = 20
+    ids = rng.integers(0, 12, (60, 6))
+    plans = ad.SequencePlan(ids), ad.SequencePlan(ids, reverse=True)
+    names = ["x", "w_f", "u_f", "b_f", "w_b", "u_b", "b_b"]
+    values = [rng.uniform(-1, 1, (12, width))] + [
+        rng.uniform(-0.2, 0.2, shape) for shape in ((width, 4 * hd), (hd, 4 * hd), (4 * hd,)) * 2]
+    weights = Tensor(rng.uniform(-1, 1, (ids.shape[0], 2 * hd)))
+
+    def run() -> list[np.ndarray]:
+        operands = [t(v, requires_grad=True) for v in values]
+        out = ad.bilstm_sequence(operands[0], operands[1:4], operands[4:], *plans)
+        ad.backward(ad.reduce_sum(ad.mul(out, weights)))
+        return [out.data] + [a.grad for a in operands]
+
+    saved = ad.PARALLEL_MIN_MULADDS, ad.spare_cpus
+    ad.spare_cpus = lambda: 1
+    try:
+        ad.PARALLEL_MIN_MULADDS = math.inf
+        serial = [run() for _ in range(repeats)]
+        ad.PARALLEL_MIN_MULADDS = 0
+        threaded = [run() for _ in range(repeats)]
+    finally:
+        ad.PARALLEL_MIN_MULADDS, ad.spare_cpus = saved
+    assert len(_worker_threads()) == 1
+    return sorted({name for one in serial + threaded
+                   for name, got, want in zip(["out"] + names, one, serial[0])
+                   if got.tobytes() != want.tobytes()})
+
+
+def test_bilstm_threaded_is_bit_for_bit_serial():
+    """Output and all 7 operand gradients have the serial path's bits on
+    the threaded path, at the suite's BLAS thread count and, in a fresh
+    process, at one BLAS thread.  The rows gradient, which both directions
+    feed, is among them."""
+    assert bilstm_bit_mismatches() == []
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    done = subprocess.run([sys.executable, "-c", "from test_autodiff import bilstm_bit_mismatches as f; "
+                           "print(f())"], cwd=tests, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_bilstm_matches_two_lstm_sequences_and_a_concat(rng):
+    """Two records over the same rows, as two layers' encoders make, give
+    the outputs of two ``lstm_sequence`` records and a concat each, and
+    every gradient bit for bit: the rows' four gradients are added in the
+    same order, each record's forward direction first."""
+    ids = rng.integers(0, 4, (7, 5))
+    plans = ad.SequencePlan(ids), ad.SequencePlan(ids, reverse=True)
+    values = [rng.uniform(-1, 1, (4, 3))] + [rng.uniform(-1, 1, s) for s in ((3, 8), (2, 8), (8,)) * 4]
+    weights = [Tensor(rng.uniform(-1, 1, (7, 4))) for _ in range(2)]
+
+    def loss(encode):
+        ops = [t(v, requires_grad=True) for v in values]
+        outs = [encode(ops[0], ops[1 + 6 * k : 4 + 6 * k], ops[4 + 6 * k : 7 + 6 * k]) for k in range(2)]
+        ad.backward(ad.add(*(ad.reduce_sum(ad.mul(out, w)) for out, w in zip(outs, weights))))
+        return [out.data for out in outs] + [op.grad for op in ops]
+
+    one = loss(lambda x, fwd, bwd: ad.bilstm_sequence(x, fwd, bwd, *plans))
+    apart = loss(lambda x, fwd, bwd: ad.concat([ad.lstm_sequence(x, *fwd, plans[0]),
+                                                 ad.lstm_sequence(x, *bwd, plans[1])], axis=1))
+    assert [a.tobytes() for a in one] == [a.tobytes() for a in apart]
+    ops = [t(v) for v in values]
+    with pytest.raises(ShapeError, match="direction plans disagree"):
+        ad.bilstm_sequence(ops[0], ops[1:4], ops[4:7], plans[0], ad.SequencePlan(ids[:3], reverse=True))
+
+
+def _threaded(monkeypatch):
+    monkeypatch.setattr(ad, "PARALLEL_MIN_MULADDS", 0)
+    monkeypatch.setattr(ad, "spare_cpus", lambda: 1)
+
+
+def test_worker_direction_overflow_raises_in_the_caller(rng, monkeypatch):
+    """The worker runs under the caller's np.errstate: an overflow in the
+    forward direction alone, the one the worker runs, is a
+    FloatingPointError in the caller, forward and backward."""
+    _threaded(monkeypatch)
+    ids = np.array([[0, 1, 2], [0, 1, 2], [3, 2, 1], [1, 1, 0], [2, 3, 0]])  # two equal sequences
+    plans = ad.SequencePlan(ids), ad.SequencePlan(ids, reverse=True)
+    x = t(rng.uniform(0.5, 1, (4, 3)))
+    bwd = [t(rng.uniform(-1, 1, s)) for s in ((3, 8), (2, 8), (8,))]
+    huge = [t(np.full((3, 8), 1e308)), t(np.zeros((2, 8))), t(np.zeros(8))]
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            ad.bilstm_sequence(x, huge, bwd, *plans)
+    # in the rule: the two equal sequences' output gradients, summed at
+    # their shared final node, overflow
+    fwd = [t(rng.uniform(-1, 1, s), requires_grad=True) for s in ((3, 8), (2, 8), (8,))]
+    out = ad.bilstm_sequence(x, fwd, bwd, *plans)
+    g = np.zeros(out.shape)
+    g[:, :2] = 1.7e308
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            out.op.rule(g)
+    assert len(_worker_threads()) == 1
+
+
+def test_worker_exception_reaches_the_caller_and_wins():
+    """An exception on the worker is raised in the caller, and when both
+    sides raise it is the worker's, as on the serial path, whose first
+    call runs first; the caller's side still runs to its end."""
+    ran = []
+
+    def boom(kind):
+        def fail():
+            ran.append(kind)
+            raise kind("boom")
+        return fail
+
+    with pytest.raises(KeyError):
+        ad._side_by_side(boom(KeyError), lambda: ran.append("second"), threaded=True)
+    with pytest.raises(KeyError):
+        ad._side_by_side(boom(KeyError), boom(ValueError), threaded=True)
+    with pytest.raises(ValueError):
+        ad._side_by_side(lambda: 1, boom(ValueError), threaded=True)
+    assert sorted(map(str, ran)) == sorted(map(str, [KeyError, "second", KeyError, ValueError, ValueError]))
+    assert ad._side_by_side(lambda: 1, lambda: 2, threaded=True) == (1, 2)
+
+
+def test_repeated_records_start_one_worker_thread(rng, monkeypatch):
+    _threaded(monkeypatch)
+    ids = rng.integers(0, 4, (6, 4))
+    plans = ad.SequencePlan(ids), ad.SequencePlan(ids, reverse=True)
+    before = set(threading.enumerate())
+    workers = []
+    for _ in range(6):
+        ops = [t(rng.uniform(-1, 1, s), requires_grad=True) for s in ((4, 3),) + ((3, 8), (2, 8), (8,)) * 2]
+        ad.backward(ad.reduce_sum(ad.bilstm_sequence(ops[0], ops[1:4], ops[4:], *plans)))
+        workers.append(_worker_threads())
+    assert all(w == workers[0] and len(w) == 1 for w in workers)
+    assert set(threading.enumerate()) - before <= set(workers[0])
+
+
+def test_selection_rule_sends_narrow_plans_to_one_thread(monkeypatch):
+    """At the default crossover, a depth-shaped plan (H=32, about 120
+    nodes per level) stays serial and a reference-shaped plan (H=256, 300
+    contexts of 5 steps) takes the worker when a CPU is spare for it;
+    without one nothing does."""
+    rng = np.random.default_rng(1)
+    depth = [ad.SequencePlan(rng.integers(0, 60, (120, 12)), reverse) for reverse in (False, True)]
+    wide = [ad.SequencePlan(rng.integers(0, 40, (300, 5)), reverse) for reverse in (False, True)]
+    monkeypatch.setattr(ad, "spare_cpus", lambda: 1)
+    assert not ad.takes_worker((4 * 32 * 32,) * 2, depth)
+    assert ad.takes_worker((4 * 256 * 256,) * 2, wide)
+    monkeypatch.setattr(ad, "spare_cpus", lambda: 0)
+    assert not ad.takes_worker((4 * 256 * 256,) * 2, wide)
+
+
+def test_every_live_thread_but_the_worker_holds_a_cpu(monkeypatch):
+    """On 2 CPUs the caller leaves one spare for the worker, but not while
+    another thread of the process, such as eval's checkpoint hash, runs."""
+    strays = len(set(threading.enumerate()) - {threading.main_thread(), *_worker_threads()})
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 2 + strays)
+    assert ad.spare_cpus() == 1
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        assert ad.spare_cpus() == 0
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive() and ad.spare_cpus() == 1
 
 
 # ---------------------------------------------------------------------------

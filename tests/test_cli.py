@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shutil
 import struct
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpgnn import cli
+from gpgnn import autodiff, cli
 from gpgnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_trained_model, main
 from gpgnn.corpus import Vocabulary
 from gpgnn.layers import load_checkpoint
@@ -435,6 +436,56 @@ def test_non_finite_probabilities_are_a_numeric_failure(tmp_path, trained_run, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("name", ["head.layer0.w", "encoder.layer0.mlp.layer0.w"])
+def test_non_finite_weight_behind_a_relu_is_a_numeric_failure(tmp_path, trained_run, capsys, command, name):
+    """A NaN in a layer that a relu follows leaves every probability finite
+    (the relu maps NaN to 0), so prediction succeeds; the parameter check
+    that runs beside it then stops the command with exit 3, naming the
+    parameter, before --out exists."""
+    data, run = trained_run
+    bad = tmp_path / "run"
+    shutil.copytree(run, bad)
+    model, _config, _relations, digest = load_trained_model(bad)
+    digest.hexdigest()
+    dict(model.store.named())[name].data[0, 0] = np.nan
+    model.store.save(bad / "checkpoint.bin")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert main([command, "--model-dir", str(bad), "--data", str(data / "test.jsonl"),
+                     "--out", str(out)]) == EXIT_NUMERIC
+    assert (f"numeric failure: {bad / 'checkpoint.bin'}: parameter {name!r} is not finite"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_manifests_record_the_machine(tmp_path, trained_run, monkeypatch):
+    """train, eval and predict record the BLAS library, the BLAS
+    thread-count variables (null where unset) and the usable CPU count."""
+    data, _run = trained_run
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    run = tmp_path / "run"
+    assert main(["train", "--train", str(data / "train.jsonl"), "--valid", str(data / "valid.jsonl"),
+                 "--relations", str(data / "relations.json"), "--config", str(write_config(tmp_path)),
+                 "--out", str(run)]) == EXIT_OK
+    for command in ("eval", "predict"):
+        assert main([command, "--model-dir", str(run), "--data", str(data / "test.jsonl"),
+                     "--out", str(tmp_path / command)]) == EXIT_OK
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for out in (run, tmp_path / "eval", tmp_path / "predict"):
+        machine = json.loads((out / "manifest.json").read_text())["machine"]
+        assert machine == {
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "blas_thread_variables": {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None,
+                                      "MKL_NUM_THREADS": None},
+            "usable_cpus": cpus,
+        }, out
+
+
 def test_loaded_parameters_are_aligned_writable_views_of_the_bytes_read(tmp_path, trained_run, monkeypatch):
     """Loading creates no generator and so draws no weight.  Every parameter
     is float64, 8-byte aligned, writable and bit-equal to its bytes in the
@@ -568,3 +619,68 @@ def test_failed_model_json_write_keeps_the_previous_file(tmp_path, monkeypatch):
         cli._write_model_json(path, TrainConfig(layers=2), vocab, TOY_RELATIONS)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+# ---------------------------------------------------------------------------
+# a model wide enough that each BiLSTM runs its two directions on two threads
+
+
+WIDE_CONFIG = dict(TINY_CONFIG, hidden_size=256, dropout=0.5, epochs=2, seed=11)
+
+
+@pytest.fixture
+def worker_calls(monkeypatch):
+    """The number of records that took the worker thread, with a CPU
+    spare for it so that a wide model takes it on any host."""
+    calls = []
+    start = autodiff._lstm_worker
+    monkeypatch.setattr(autodiff, "spare_cpus", lambda: 1)
+    monkeypatch.setattr(autodiff, "_lstm_worker", lambda: calls.append(1) or start())
+    return calls
+
+
+def _train_and_eval(tmp_path, data, tag, **config):
+    run, ev = tmp_path / f"run_{tag}", tmp_path / f"eval_{tag}"
+    assert main(["train", "--train", str(data / "train.jsonl"), "--valid", str(data / "valid.jsonl"),
+                 "--relations", str(data / "relations.json"),
+                 "--config", str(write_config(tmp_path, **{**WIDE_CONFIG, **config})), "--out", str(run)]) == EXIT_OK
+    assert main(["eval", "--model-dir", str(run), "--data", str(data / "test.jsonl"), "--out", str(ev)]) == EXIT_OK
+    log = [{k: v for k, v in json.loads(line).items() if k != "wall_ms"}
+           for line in (run / "run_log.jsonl").read_text().splitlines()]
+    return [(run / "checkpoint.bin").read_bytes(), log, (ev / "metrics.json").read_bytes(),
+            (ev / "predictions.jsonl").read_bytes()]
+
+
+def test_wide_runs_are_byte_identical_threaded_and_serial(tmp_path, synth_dir, worker_calls, monkeypatch):
+    """Criterion 8 at hidden size 256: two train + eval runs whose BiLSTMs
+    take the worker thread write the same checkpoint, run log (wall_ms
+    aside), metrics and predictions, byte for byte, as a run forced onto
+    one thread.  Afterwards exactly one thread beyond those before remains:
+    the worker, however many records used it."""
+    before = set(threading.enumerate())
+    first = _train_and_eval(tmp_path, synth_dir, "a")
+    assert worker_calls, "the wide model never took the worker thread"
+    calls = len(worker_calls)
+    assert _train_and_eval(tmp_path, synth_dir, "b") == first
+    workers = [th for th in threading.enumerate() if th.name.startswith("gpgnn-lstm")]
+    assert len(workers) == 1 and set(threading.enumerate()) - before <= set(workers)
+    monkeypatch.setattr(autodiff, "PARALLEL_MIN_MULADDS", math.inf)
+    assert _train_and_eval(tmp_path, synth_dir, "serial") == first
+    assert len(worker_calls) == 2 * calls
+
+
+def test_wide_worker_direction_overflow_stops_training(tmp_path, synth_dir, capsys, worker_calls):
+    """The threaded twin of the lr-1e300 run: at hidden size 256 the
+    validation pass of epoch 0 overflows in both directions of the first
+    BiLSTM, the worker's error wins, and training stops with exit 3 naming
+    the phase and the epoch, before any checkpoint is written."""
+    cfg = write_config(tmp_path, **{**WIDE_CONFIG, "learning_rate": 1e300, "clip_norm": 0.0,
+                                    "batch_size": 12, "epochs": 3})
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--train", str(synth_dir / "train.jsonl"), "--valid", str(synth_dir / "valid.jsonl"),
+                 "--relations", str(synth_dir / "relations.json"), "--config", str(cfg),
+                 "--out", str(run)]) == EXIT_NUMERIC
+    assert re.match(r"numeric failure: validation at epoch 0: overflow", capsys.readouterr().err)
+    assert worker_calls
+    assert not (run / "checkpoint.bin").exists()

@@ -198,12 +198,12 @@ def test_bilstm_rejects_empty_sequence(rng):
 
 
 def test_fused_direction_matches_stepped_lstm(rng):
-    from gpgnn.layers import _run_direction
+    from gpgnn.layers import _fused_gates
 
     p = LstmParams.create(3, 4, rng)
     seq = rng.uniform(-1, 1, (6, 3))
     for reverse, order in ((False, range(6)), (True, range(5, -1, -1))):
-        fused = _run_direction(p, Tensor(seq), dense_plans(6, 1)[reverse]).data[0]
+        fused = ad.lstm_sequence(Tensor(seq), *_fused_gates(p), dense_plans(6, 1)[reverse]).data[0]
         h = c = Tensor(np.zeros(4))
         for t in order:
             h, c = lstm_step(p, Tensor(seq[t]), h, c)

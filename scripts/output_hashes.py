@@ -31,7 +31,22 @@ A change at the rounding level moves every hash, so for each case and each
 largest |p - p_parent| over every record's probabilities against the same
 file in PARENT_OUT, and the number of records whose argmax differs.
 
-Run:  PYTHONPATH=src python3 scripts/output_hashes.py OUT_DIR [--models PARENT_OUT]
+``--grads`` also writes, for each case, ``OUT_DIR/<case>/grads.npz``: at
+the seed's fresh initialization with dropout off, the first training
+batch's per-sentence losses (``losses``), the gradient of their mean, the
+training objective, for every parameter (``grad/<name>``), and the test
+split's probabilities (``probs``).  With ``--models PARENT_OUT`` it reads
+the corpora in PARENT_OUT and prints, under ``grads``, whether the losses
+and probabilities are bit for bit those of PARENT_OUT's ``grads.npz`` and
+the largest |g - g_parent| / max|g_parent| over the parameters.  It uses
+only ``build_model``, ``batch_losses``, ``backward`` and ``predict_pairs``,
+which every checkout since the batched model has, so
+``PYTHONPATH=<other checkout>/src`` runs it on another checkout.  The
+corpora of ``depth`` and of the ``m9_*`` cases mix token lengths (their
+chains put 1 or 2 tokens between entities); ``reference``'s sentences all
+have one length.
+
+Run:  PYTHONPATH=src python3 scripts/output_hashes.py OUT_DIR [--models PARENT_OUT] [--grads]
 """
 
 from __future__ import annotations
@@ -52,7 +67,11 @@ import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
+from gpgnn.autodiff import backward, concat, reduce_sum, reshape, scale  # noqa: E402
 from gpgnn.cli import EXIT_OK, machine_facts, main  # noqa: E402
+from gpgnn.corpus import RelationVocab, Vocabulary, normalize_dataset, parse_corpus_file  # noqa: E402
+from gpgnn.model import batch_losses, predict_pairs  # noqa: E402
+from gpgnn.training import TrainConfig, build_model, named_rngs  # noqa: E402
 
 # the depth experiment's model (scripts/depth_experiment.py) at lr 0.002
 DEPTH = dict(layers=2, learning_rate=0.002, batch_size=12, dropout=0.1, hidden_size=32,
@@ -133,6 +152,38 @@ def eval_case(case: Path, out: Path) -> dict[str, str | None]:
     return hashes
 
 
+def first_batch(data: Path, config: dict) -> dict[str, np.ndarray]:
+    """The first training batch's per-sentence losses, every parameter's
+    gradient of their mean and the test split's probabilities, at the
+    seed's fresh initialization, in evaluation mode (no dropout)."""
+    cfg = TrainConfig.from_dict(config)
+    relations = RelationVocab.from_files(data / "relations.json", data / "inverse_map.json")
+    train, test = (normalize_dataset(parse_corpus_file(data / f"{split}.jsonl"), relations)[0]
+                   for split in ("train", "test"))
+    model = build_model(cfg, Vocabulary.build(train), relations)
+    order = named_rngs(cfg.seed)["shuffle"].permutation(len(train))
+    batch = [train[i] for i in order[: cfg.batch_size]]
+    losses = batch_losses(model, batch, na_weight=cfg.na_weight)
+    model.store.zero_grads()
+    backward(scale(reduce_sum(concat([reshape(l, (1,)) for l in losses], axis=0)), 1.0 / len(batch)))
+    return {"losses": np.array([l.item() for l in losses]),
+            "probs": np.stack([r.probs for r in predict_pairs(model, test)]),
+            **{f"grad/{name}": p.grad for name, p in model.store.named()}}
+
+
+def grad_diff(ours: dict[str, np.ndarray], parent: Path) -> dict[str, object]:
+    """Whether losses and probabilities equal ``parent``'s bit for bit,
+    and the largest gradient difference relative to the parent's largest
+    entry of the same parameter."""
+    with np.load(parent) as theirs:
+        rel = {name[5:]: float(np.abs(ours[name] - theirs[name]).max() / (np.abs(theirs[name]).max() or 1.0))
+               for name in theirs.files if name.startswith("grad/")}
+        worst = max(rel, key=rel.get)
+        return {"losses_identical": bool(np.array_equal(ours["losses"], theirs["losses"])),
+                "probs_identical": bool(np.array_equal(ours["probs"], theirs["probs"])),
+                "max_rel_grad_diff": rel[worst], "max_rel_grad_diff_param": worst}
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("out", help="an empty or missing directory for the runs' files")
@@ -140,6 +191,10 @@ def parse_args(argv=None) -> argparse.Namespace:
                    help="the OUT directory of an earlier run of this script, perhaps from another "
                         "checkout: evaluate and predict with its corpora and trained runs, train "
                         "nothing, and print only the evaluation and prediction hashes")
+    p.add_argument("--grads", action="store_true",
+                   help="also write each case's first-batch losses, gradients and fresh test "
+                        "probabilities to OUT/<case>/grads.npz, and with --models compare them to "
+                        "PARENT_OUT's")
     return p.parse_args(argv)
 
 
@@ -159,5 +214,11 @@ if __name__ == "__main__":
                 run: prob_diff(root / name / run / "predictions.jsonl", parent / run / "predictions.jsonl")
                 for run in ("eval-predictions", "eval-gold-size", "predict")
             }
+        if args.grads:
+            data = (root if args.models is None else Path(args.models)) / name / "data"
+            grads = first_batch(data, cfg)
+            np.savez(root / name / "grads.npz", **grads)
+            if args.models is not None:
+                hashes[name]["grads"] = grad_diff(grads, Path(args.models) / name / "grads.npz")
     hashes["machine"] = machine_facts()
     print(json.dumps(hashes, indent=1, sort_keys=True))

@@ -13,10 +13,10 @@ one ``bilstm_sequence`` record a whole bidirectional one, and one
 over many graphs.  ``bilstm_sequence`` may run its forward direction on the
 process's one worker thread, started on first use, while the caller runs
 the backward direction, with the bits of one thread.  The LSTM runs over a
-``SequencePlan``, the prefix forest of its batch's sequences, so a prefix
-that several sequences share is computed once; a plan that shares nothing
-is the dense batch.  Each activation's values and derivative are
-written once, in ``ACTIVATIONS``.  The sigmoid is 0.5 * tanh(0.5 * x) + 0.5,
+``SequencePlan``, the prefix forest of its batch's sequences, whatever
+their lengths, so a prefix that several sequences share is computed once;
+a plan that shares nothing is the dense batch.  Each activation's values
+and derivative are written once, in ``ACTIVATIONS``.  The sigmoid is 0.5 * tanh(0.5 * x) + 0.5,
 one tanh pass that never overflows, within 2**-52 (absolute) of
 1 / (1 + exp(-x)); the same identity lets ``lstm_sequence`` take all four
 LSTM gates of a step from one tanh.
@@ -361,26 +361,33 @@ def _matmul_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _ChildSums:
-    """Sums of items by label, for labels 0..k-1 that each hold an item.
+    """Sums of items by label, for labels 0..size-1.
 
     ``labels`` is sorted, and item ``order[k]`` holds ``labels[k]`` (item k
-    when ``order`` is None).  ``first`` is one item of every label.  Round r
-    adds, to each label that holds more than r+1 items, its item r+2.  Most
-    nodes of a prefix forest have one child, so a few gather-adds make the
-    sums, where ``np.add.reduceat`` would pay a fixed cost per label.  Items
-    in order whose labels are distinct are their own sums."""
+    when ``order`` is None).  ``first`` is one item of every label that
+    holds one.  Round r adds, to each label that holds more than r+1 items,
+    its item r+2.  Most nodes of a prefix forest have one child, so a few
+    gather-adds make the sums, where ``np.add.reduceat`` would pay a fixed
+    cost per label.  The output has ``size`` rows (default: one past the
+    largest label), and a label that holds no item sums to zero: a node
+    whose sequences have all ended has no children.  Items in order whose
+    labels are distinct and cover 0..size-1 are their own sums."""
 
-    __slots__ = ("first", "rounds")
+    __slots__ = ("first", "rounds", "held", "size")
 
-    def __init__(self, labels: np.ndarray, order: np.ndarray | None = None):
-        counts = np.bincount(labels)
-        self.first = self.rounds = None
+    def __init__(self, labels: np.ndarray, order: np.ndarray | None = None, size: int = 0):
+        counts = np.bincount(labels, minlength=size)
+        self.first = self.rounds = self.held = None
+        self.size = counts.size
         if order is None:
-            if counts.size == labels.size:
+            if counts.size == labels.size and counts.all():
                 return
             order = np.arange(labels.size)
         starts = np.cumsum(counts) - counts
-        self.first = order[starts]
+        held = np.flatnonzero(counts)
+        if held.size < counts.size:
+            self.held = held
+        self.first = order[starts[held]]
         self.rounds = []
         for k in range(1, int(counts.max())):
             more = np.flatnonzero(counts > k)
@@ -389,54 +396,79 @@ class _ChildSums:
     def __call__(self, values: np.ndarray) -> np.ndarray:
         if self.first is None:
             return values
-        out = values[self.first]
+        if self.held is None:
+            out = values[self.first]
+        else:
+            out = np.zeros((self.size,) + values.shape[1:])
+            out[self.held] = values[self.first]
         for labels, items in self.rounds:
             out[labels] += values[items]
         return out
 
 
 class SequencePlan:
-    """The prefix forest of N equal-length sequences, for one direction.
+    """The prefix forest of N sequences, for one direction.
 
-    ``ids`` is an (N, L) array of input row ids: sequence k reads row
-    ids[k, t] at timestep t, and ``reverse`` reads t from L-1 down to 0.  Two
-    sequences whose inputs agree up to a step share every LSTM state up to
-    that step, so level t of the forest holds one node per distinct prefix
-    of length t+1, that is per distinct (parent node, input row) pair.  One
-    lexicographic sort of the sequences finds them all: a sorted sequence
-    starts a new node at level t where its prefix differs from the one
-    before it.  Nodes come in prefix order, so each parent's children are
-    contiguous.  A plan whose sequences share nothing is the dense batch.
+    ``ids`` is an (N, L) array of input row ids.  Row k holds its sequence's
+    ids >= 0 followed only by -1 padding, so sequences may differ in length
+    (1 to L).  Sequence k reads row ids[k, t] at timestep t, and ``reverse``
+    reads its ids from its own last one down to ids[k, 0].  Two sequences
+    whose inputs agree up to a step share every LSTM state up to that step,
+    so level t of the forest holds one node per distinct prefix of length
+    t+1 among the sequences longer than t, that is per distinct (parent
+    node, input row) pair.  One lexicographic sort of the sequences finds
+    them all: a sorted sequence starts a new node at level t where its
+    prefix differs from the one before it.  Nodes come in prefix order, so
+    each parent's children are contiguous; a node whose sequences all end
+    at its level has none.  A plan whose sequences share nothing is the
+    dense batch.
 
     Per level: ``inputs`` (each node's row id), ``parents`` (each node's node
-    in the level before; all 0 at the root level) and ``children`` (the
-    sums over each parent's children; None at the root level).  ``final``
-    maps each sequence to its node in the last level, and ``final_sums``
-    sums over each last-level node's sequences.  ``node_inputs`` is every
-    node's row id, level by level; ``input_order``, ``input_runs`` and
-    ``input_rows`` group the nodes by input row for ``np.add.reduceat``.
+    in the level before; all 0 at the root level), ``children`` (the sums
+    over each node of the level before of its children, zero for a node
+    without; None at the root level) and ``ends``: None where no sequence
+    ends, else ``(sequences, nodes, sums)``, the sequences whose last step
+    the level holds, the distinct nodes they end at, and the sums over each
+    such node of its sequences.  ``final`` maps each sequence to its node in
+    the level where it ends.  When every sequence has length L, only the
+    last level has ends, and they cover each of its nodes.  ``node_inputs``
+    is every node's row id, level by level; ``input_order``, ``input_runs``
+    and ``input_rows`` group the nodes by input row for ``np.add.reduceat``.
     """
 
     def __init__(self, ids, reverse: bool = False):
         ids = np.asarray(ids, dtype=np.intp)
-        if ids.ndim != 2 or 0 in ids.shape or ids.min() < 0:
-            raise ShapeError(f"a sequence plan needs a nonempty (N, L) array of row ids >= 0, got {ids.shape}")
-        steps = ids[:, ::-1] if reverse else ids
-        order = np.lexsort(steps.T[::-1])
-        steps = steps[order]
+        if ids.ndim != 2 or 0 in ids.shape:
+            raise ShapeError(f"a sequence plan needs a nonempty (N, L) array of row ids, got {ids.shape}")
+        valid = ids >= 0
+        if ids.min() < -1 or not valid[:, 0].all() or (valid[:, 1:] > valid[:, :-1]).any():
+            raise ShapeError("a sequence plan needs each row's ids >= 0 followed only by -1 padding, "
+                             "and at least one id per row")
+        lengths = valid.sum(axis=1)
+        ids = ids[:, : lengths.max()]  # no level without nodes
+        if reverse:  # each row from its own last id; padding stays at the end
+            ids = np.take_along_axis(ids, (lengths[:, None] - 1 - np.arange(ids.shape[1])) % ids.shape[1], axis=1)
+        order = np.lexsort(ids.T[::-1])
+        steps, lengths = ids[order], lengths[order]
         starts = np.ones(steps.shape, dtype=bool)  # sorted row k starts a node at level t
         starts[1:] = np.logical_or.accumulate(steps[1:] != steps[:-1], axis=1)
-        node = np.cumsum(starts, axis=0) - 1  # sorted row k's node at each level
-        self.inputs, self.parents, self.children = [], [], []
+        starts &= steps >= 0
+        node = np.cumsum(starts, axis=0) - 1  # sorted row k's node at each level it reaches
+        self.inputs, self.parents, self.children, self.ends = [], [], [], []
+        self.final = np.empty_like(order)
         for t in range(steps.shape[1]):
             rows = np.flatnonzero(starts[:, t])
             parent = node[rows, t - 1] if t else np.zeros(rows.size, dtype=np.intp)
-            self.children.append(_ChildSums(parent) if t else None)
+            self.children.append(_ChildSums(parent, size=len(self.inputs[-1])) if t else None)
             self.inputs.append(steps[rows, t])
             self.parents.append(parent)
-        self.final = np.empty_like(order)
-        self.final[order] = node[:, -1]
-        self.final_sums = _ChildSums(node[:, -1], order)
+            ending = np.flatnonzero(lengths == t + 1)
+            if ending.size == 0:
+                self.ends.append(None)
+                continue
+            nodes, labels = np.unique(node[ending, t], return_inverse=True)
+            self.final[order[ending]] = node[ending, t]
+            self.ends.append((order[ending], nodes, _ChildSums(labels, order[ending])))
         self.node_inputs = np.concatenate(self.inputs)
         self.input_order = np.argsort(self.node_inputs, kind="stable")
         by_input = self.node_inputs[self.input_order]
@@ -462,9 +494,12 @@ def _check_lstm_operands(x: Tensor, w: Tensor, u: Tensor, b: Tensor, plan: Seque
 
 def _lstm_direction(xd: np.ndarray, wd: np.ndarray, ud: np.ndarray, bd: np.ndarray, plan: SequencePlan):
     """One direction's recurrence over ``plan`` on plain arrays: each
-    sequence's final (N, H) hidden state, and the rule mapping its gradient
-    to the gradients of x, w, u and b (see ``lstm_sequence``).  It touches
-    no tape, so either may run on any thread."""
+    sequence's final (N, H) hidden state, read at the level where the
+    sequence ends, and the rule mapping its gradient to the gradients of x,
+    w, u and b (see ``lstm_sequence``).  The rule adds the gradients of the
+    sequences that end at a level into their nodes' h gradients there, a
+    gather-sum per level; with equal lengths that is the last level alone.
+    It touches no tape, so either may run on any thread."""
     hd = ud.shape[0]
     sigmoid_rule = ACTIVATIONS["sigmoid"][1]
     tanh_rule = ACTIVATIONS["tanh"][1]
@@ -474,7 +509,8 @@ def _lstm_direction(xd: np.ndarray, wd: np.ndarray, ud: np.ndarray, bd: np.ndarr
     u_half, b_half = ud * half, bd * half
     saved = []
     h = c = None
-    for inputs, parents in zip(plan.inputs, plan.parents):
+    y = np.empty((plan.sequences, hd))
+    for inputs, parents, ends in zip(plan.inputs, plan.parents, plan.ends):
         z = xw[inputs]
         if h is not None:
             z += _matmul_rows(h, u_half)[parents]
@@ -489,14 +525,17 @@ def _lstm_direction(xd: np.ndarray, wd: np.ndarray, ud: np.ndarray, bd: np.ndarr
         tc = np.tanh(c)
         saved.append((h, cp, ifo, g, tc))
         h = o * tc
+        if ends is not None:
+            y[ends[0]] = h[plan.final[ends[0]]]
 
     def rule(gy: np.ndarray):
         gu = np.zeros_like(ud)
-        gh = plan.final_sums(gy)
+        gh = plan.ends[-1][2](gy)  # every last-level node ends a sequence
         gc = np.zeros_like(gh)
         gz_all = np.empty((plan.nodes, 4 * hd))  # the nodes' gate gradients, level by level
         stop = plan.nodes
-        for children, (hp, cp, ifo, g, tc) in zip(reversed(plan.children), reversed(saved)):
+        below = reversed([None] + plan.ends[:-1])  # the ends of the level each rule step hands down to
+        for children, ends, (hp, cp, ifo, g, tc) in zip(reversed(plan.children), below, reversed(saved)):
             i, f, o = ifo[:, :hd], ifo[:, hd : 2 * hd], ifo[:, 2 * hd :]
             gc = gc + tanh_rule(gh * o, tc)
             gz = gz_all[stop - len(g) : stop]
@@ -509,11 +548,13 @@ def _lstm_direction(xd: np.ndarray, wd: np.ndarray, ud: np.ndarray, bd: np.ndarr
                 gu += hp.T @ gz
                 gh = gz @ ud.T
                 gc = children(gc * f)
+                if ends is not None:
+                    gh[ends[1]] += ends[2](gy)
         gx = np.zeros_like(xd)
         gx[plan.input_rows] = np.add.reduceat((gz_all @ wd.T)[plan.input_order], plan.input_runs)
         return gx, xd[plan.node_inputs].T @ gz_all, gu, gz_all.sum(axis=0)
 
-    return h[plan.final], rule
+    return y, rule
 
 
 def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, plan: SequencePlan) -> Tensor:
@@ -524,9 +565,10 @@ def lstm_sequence(x: Tensor, w: Tensor, u: Tensor, b: Tensor, plan: SequencePlan
     candidate gate blocks side by side.  The recurrence runs once per plan
     node, a level at a time: ``(x @ w)[input] + (h @ u)[parent] + b``, with
     no ``h @ u`` at the root level, whose parent state is zero.  Returns each
-    sequence's final (N, H) hidden state in sequence order as one tape
-    record.  Its rule is backpropagation through time over the nodes: a
-    parent's state gradients are the sums of its children's.  The input
+    sequence's final (N, H) hidden state in sequence order, taken at the
+    level where it ends, as one tape record.  Its rule is backpropagation
+    through time over the nodes: a parent's state gradients are the sums of
+    its children's, plus, at a node where sequences end, theirs.  The input
     gradients come from one product over all nodes, whose x rows are then
     summed per input row.
 

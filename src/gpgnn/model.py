@@ -10,23 +10,28 @@ training, evaluation and the gradient oracle all run, and it is batched.
 The per-pair, per-message loops that define the semantics live in
 ``tests/reference.py``, and the tests pin this module to them.
 
-The edge encoder takes every context of a batch's equal-length sentences at
-once.  The E = m(m-1) contexts of a sentence are one token sequence under E
-marker rows, so many share a (token, marker) prefix or suffix.  The
-encoder's BiLSTM runs over a prefix forest of each length group's contexts
-(``autodiff.SequencePlan``, one per direction, shared by every layer's
-encoder) and so computes each distinct prefix's and suffix's state once.
-Its outputs are bit for bit those of running every context apart.  Each
-encoder's BiLSTM is one tape record, whose two directions run on two
+The edge encoder takes every context of a batch at once, in graph order,
+whatever the sentences' token lengths.  The E = m(m-1) contexts of a
+sentence are one token sequence under E marker rows, so many share a
+(token, marker) prefix or suffix.  The encoder's BiLSTM runs over a prefix
+forest of all the batch's contexts (``autodiff.SequencePlan``, one per
+direction, shared by every layer's encoder), whose level t holds the
+contexts longer than t, and so computes each distinct prefix's and
+suffix's state once: a batch takes as many recurrence levels as its
+longest sentence has tokens.  Its outputs are bit for bit those of running
+every context apart.  Each encoder's BiLSTM and its MLP are one call over
+the batch; the BiLSTM is one tape record, whose two directions run on two
 threads where a level's work pays for it (``autodiff.takes_worker``), with
-the same bits as on one.
+the same bits as on one.  Dropout after the BiLSTM and in the MLP draws
+its masks once per encoder over the whole batch, rows in graph order.
 
 Everything after the encoder runs once per batch.  Sentences with the same
 m form a group, a disjoint union of graphs: per layer, one op propagates
 every target pair of every sentence of the group, each sentence against
-its own stack of matrices, gathered from the encoder's output rows at
-once.  Layer 1 needs no layer-0 states.  They are zero except the two
-flags, so node i of pair (s, o) receives act(A[i,s] @ subject) +
+its own stack of matrices.  The stacks are the encoder's output rows as
+they are when every sentence of the batch has one m, else each group's
+rows gathered at once.  Layer 1 needs no layer-0 states.  They are zero
+except the two flags, so node i of pair (s, o) receives act(A[i,s] @ subject) +
 act(A[i,o] @ object) + act(0) from each other edge: 2E products per
 sentence where propagating the flag states takes P*E
 (``autodiff.propagate_flags``).  For relu and tanh, act(0) = 0 and this is
@@ -178,8 +183,8 @@ class EdgeEncoder:
 @dataclass
 class TransitionMatrices:
     """A batch's generated matrices.  ``stacks[n]`` holds layer n's as one
-    (N, d_n*d_n) row per context, graph by graph, each graph's E rows in
-    edge order from row ``starts[k]`` for graph k.  With tied adjacency
+    (N, d_n*d_n) row per context, graph by graph in batch order, graph k's
+    E rows in edge order from row ``starts[k]``.  With tied adjacency
     every layer holds the same tensor."""
 
     stacks: list[Tensor]
@@ -197,9 +202,11 @@ def encode_edge_rows(
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> list[Tensor]:
-    """Run a batch of equal-length contexts through each encoder.  Inputs
-    are (N, l) arrays of token ids and marker ids; returns one (N, d_n*d_n)
-    tensor per encoder, rows in context order.
+    """Run a batch of contexts through each encoder.  Inputs are (N, L)
+    arrays of token ids and marker ids; a row's token ids >= 0 may be
+    followed by -1 padding, under which its markers are ignored, so the
+    contexts may differ in length.  Returns one (N, d_n*d_n) tensor per
+    encoder, rows in context order.
 
     A context's step is the key ``token_id * 3 + marker``.  The distinct
     keys become the input rows, and one ``SequencePlan`` per direction over
@@ -212,8 +219,10 @@ def encode_edge_rows(
             raise ConfigError(f"encoder MLP emits {encoder.mlp.output_size} values, need d_n^2 = {d_n * d_n}")
     if word_rows.shape != marker_rows.shape or word_rows.ndim != 2:
         raise ShapeError(f"context id arrays disagree: {word_rows.shape} vs {marker_rows.shape}")
-    keys, ids = np.unique(word_rows * 3 + marker_rows, return_inverse=True)
+    keys, ids = np.unique(np.where(word_rows >= 0, word_rows * 3 + marker_rows, -1), return_inverse=True)
     ids = ids.reshape(word_rows.shape)
+    if keys[0] < 0:  # padding: key -1 sorts first and becomes id -1
+        keys, ids = keys[1:], ids - 1
     plans = SequencePlan(ids), SequencePlan(ids, reverse=True)
     rows = concat([embedding_lookup(word_table, keys // 3), embedding_lookup(pos_table, keys % 3)], axis=1)
     out = []
@@ -435,31 +444,23 @@ def transition_matrices(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> TransitionMatrices:
-    """Every graph's transition matrices.  Sentences of equal token length
-    share one encoder run per layer; with tied adjacency the single encoder
-    runs once and every layer shares its matrices."""
-    by_length: dict[int, list[int]] = {}
-    for idx, graph in enumerate(graphs):
-        by_length.setdefault(graph.markers.shape[1], []).append(idx)
-
-    parts: list[list[Tensor]] = [[] for _ in model.encoders]
-    starts = np.empty(len(graphs), dtype=np.intp)
-    off = 0
-    for length in sorted(by_length):
-        group = by_length[length]
-        ids = [np.asarray(model.vocab.encode(graphs[idx].sentence.tokens), dtype=np.intp) for idx in group]
-        word_rows = np.concatenate([np.tile(row, (len(graphs[idx].edges), 1)) for idx, row in zip(group, ids)])
-        marker_rows = np.concatenate([graphs[idx].markers for idx in group])
-        flat_layers = encode_edge_rows(
-            model.encoders, model.word_table, model.pos_table, word_rows, marker_rows, model.dims.d_n,
-            drop_ratio=model.dims.dropout, rng=rng, training=training,
-        )
-        for part, flat in zip(parts, flat_layers):
-            part.append(flat)
-        for idx in group:
-            starts[idx] = off
-            off += len(graphs[idx].edges)
-    stacks = [concat(part, axis=0) if len(part) > 1 else part[0] for part in parts]
+    """Every graph's transition matrices, from one encoder run per layer
+    over every context of the batch, whatever the sentences' token lengths:
+    each graph's E contexts in graph order, shorter ones padded.  With tied
+    adjacency the single encoder runs once and every layer shares its
+    matrices."""
+    sizes = [len(graph.edges) for graph in graphs]
+    starts = np.cumsum([0] + sizes[:-1])
+    word_rows = np.full((sum(sizes), max(graph.markers.shape[1] for graph in graphs)), -1, dtype=np.intp)
+    marker_rows = np.zeros_like(word_rows)
+    for graph, start, size in zip(graphs, starts, sizes):
+        length = graph.markers.shape[1]
+        word_rows[start : start + size, :length] = model.vocab.encode(graph.sentence.tokens)
+        marker_rows[start : start + size, :length] = graph.markers
+    stacks = encode_edge_rows(
+        model.encoders, model.word_table, model.pos_table, word_rows, marker_rows, model.dims.d_n,
+        drop_ratio=model.dims.dropout, rng=rng, training=training,
+    )
     return TransitionMatrices(stacks * model.dims.layers if model.dims.tied else stacks, starts)
 
 

@@ -3,7 +3,7 @@ target pair and one message at a time, and of evaluation, one record and
 one ranked candidate at a time.
 
 ``gpgnn.model`` runs the model batched: every context of a batch's
-equal-length sentences goes through the encoder together, and every target
+sentences goes through the encoder together, and every target
 pair of a batch's sentences with the same entity count propagates together.  The loops here spell out the same
 semantics directly: the marked context of one ordered pair, an LSTM stepped
 token by token, one message act(A[i,j] @ h_j) at a time in scalar Python,

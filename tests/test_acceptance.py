@@ -125,6 +125,27 @@ def test_criterion_1_gradient_oracle():
             return ad.reduce_sum(ad.mul(out, c))
 
         checks[f"bilstm_sequence_{wrt}"] = (bilstm_loss, bi_args[wrt])
+    # both again over ragged rows of 1 to 3 steps, checked after every
+    # check above so that none of their points moves: a node that ends one
+    # sequence and has a child, and one whose sequences have all ended
+    ragged = np.array([[0, 1, -1], [0, 1, 2], [4, -1, -1], [0, 3, -1]])
+    for reverse in (False, True):
+        for wrt in lstm_args:
+            def ragged_loss(p, wrt=wrt, plan=ad.SequencePlan(ragged, reverse), c=Tensor(u(4, 2)),
+                            fixed={k: Tensor(v) for k, v in lstm_args.items()}):
+                a = {**fixed, wrt: p}
+                return ad.reduce_sum(ad.mul(ad.lstm_sequence(a["x"], a["w"], a["u"], a["b"], plan), c))
+
+            checks[f"lstm_sequence_ragged_{'reverse' if reverse else 'forward'}_{wrt}"] = (
+                ragged_loss, lstm_args[wrt])
+    for wrt in bi_args:
+        def ragged_bilstm_loss(p, wrt=wrt, plans=(ad.SequencePlan(ragged), ad.SequencePlan(ragged, True)),
+                               c=Tensor(u(4, 4)), fixed={k: Tensor(v) for k, v in bi_args.items()}):
+            a = {**fixed, wrt: p}
+            out = ad.bilstm_sequence(a["x"], (a["w_f"], a["u_f"], a["b_f"]), (a["w_b"], a["u_b"], a["b_b"]), *plans)
+            return ad.reduce_sum(ad.mul(out, c))
+
+        checks[f"bilstm_sequence_ragged_{wrt}"] = (ragged_bilstm_loss, bi_args[wrt])
     worst_op, worst_err = None, 0.0
     for name, (f, point) in checks.items():
         result = ad.grad_check(f, Tensor(np.asarray(point)), step=step, tol=tol)

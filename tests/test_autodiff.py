@@ -463,6 +463,82 @@ def test_sequence_plan_shares_prefixes_and_suffixes():
         ad.lstm_sequence(t(np.zeros((4, 3))), t(np.zeros((3, 8))), t(np.zeros((2, 8))), t(np.zeros(8)), forward)
 
 
+def _ragged_and_alone(ids, table, params, reverse, weights):
+    """``lstm_sequence`` over the ragged plan of ``ids``, and the dense
+    oracle run on each row alone: each one's outputs and its x, w, u and b
+    gradients of sum(out * weights), the oracle's summed over the rows."""
+    def run(x, op, c):
+        operands = [t(x, requires_grad=True)] + [t(p, requires_grad=True) for p in params]
+        out = op(*operands)
+        ad.backward(ad.reduce_sum(ad.mul(out, Tensor(c))))
+        return out.data, [a.grad for a in operands]
+
+    plan = ad.SequencePlan(ids, reverse)
+    shared, shared_grads = run(table, lambda *a: ad.lstm_sequence(*a, plan), weights)
+    alone, alone_grads = [], [np.zeros_like(table)] + [np.zeros_like(p) for p in params]
+    for k, row in enumerate(np.asarray(ids)):
+        row = row[row >= 0]
+        out, grads = run(table[row], lambda *a: dense_lstm_sequence(*a, 1, reverse), weights[k : k + 1])
+        alone.append(out[0])
+        np.add.at(alone_grads[0], row, grads[0])
+        for total, g in zip(alone_grads[1:], grads[1:]):
+            total += g
+    return shared, shared_grads, np.array(alone), alone_grads
+
+
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=24), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_ragged_lstm_sequence_matches_each_row_alone(lengths, alphabet, reverse, seed):
+    """Rows of lengths 1 to 8 over small alphabets, padded with -1: the
+    plan's recurrence gives, bit for bit, what the dense oracle gives for
+    each row alone, and x, w, u and b gradients within 1e-12."""
+    rng = np.random.default_rng(seed)
+    width, hd = 3, 4
+    ids = np.full((len(lengths), max(lengths)), -1)
+    for k, n in enumerate(lengths):
+        ids[k, :n] = rng.integers(0, alphabet, n)
+    table = rng.uniform(-1, 1, (alphabet, width))
+    params = [rng.uniform(-1, 1, shape) for shape in ((width, 4 * hd), (hd, 4 * hd), (4 * hd,))]
+    shared, shared_grads, alone, alone_grads = _ragged_and_alone(
+        ids, table, params, reverse, rng.uniform(-1, 1, (len(lengths), hd)))
+    np.testing.assert_array_equal(shared, alone)
+    for got, want in zip(shared_grads, alone_grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_ragged_plan_ends_sequences_inside_the_forest():
+    """[0, 1] is a prefix of [0, 1, 2], so their level-1 node both ends a
+    sequence and has a child; [0, 3] ends at a level-1 node that has no
+    child, whose child sum is zero.  Outputs and gradients are each row's
+    own, in both directions."""
+    ids = np.array([[0, 1, -1], [0, 1, 2], [0, 3, -1]])
+    plan = ad.SequencePlan(ids)
+    assert [level.tolist() for level in plan.inputs] == [[0], [1, 3], [2]]
+    assert plan.final.tolist() == [0, 0, 1]
+    assert plan.ends[0] is None
+    assert plan.ends[1][0].tolist() == [0, 2] and plan.ends[1][1].tolist() == [0, 1]
+    assert plan.ends[2][0].tolist() == [1]
+    assert plan.children[2](np.array([[5.0]])).tolist() == [[5.0], [0.0]]
+    backward = ad.SequencePlan(ids, reverse=True)  # reads [1, 0], [2, 1, 0] and [3, 0]
+    assert [level.tolist() for level in backward.inputs] == [[1, 2, 3], [0, 1, 0], [0]]
+    rng = np.random.default_rng(3)
+    params = [rng.uniform(-1, 1, shape) for shape in ((2, 8), (2, 8), (8,))]
+    for reverse in (False, True):
+        shared, shared_grads, alone, alone_grads = _ragged_and_alone(
+            ids, rng.uniform(-1, 1, (4, 2)), params, reverse, rng.uniform(-1, 1, (3, 2)))
+        np.testing.assert_array_equal(shared, alone)
+        for got, want in zip(shared_grads, alone_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ids", [[[0, -1, 1]], [[0, 1], [-1, -1]], [[0, -2]]],
+                         ids=["padding-before-an-id", "all-padding-row", "below-minus-one"])
+def test_sequence_plan_rejects_bad_padding(ids):
+    with pytest.raises(ShapeError, match="padding"):
+        ad.SequencePlan(ids)
+
+
 # ---------------------------------------------------------------------------
 # the two-direction record and its worker thread
 

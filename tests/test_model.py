@@ -476,7 +476,7 @@ def test_sentence_loss_missing_gold_label():
 
 
 def test_batch_losses_match_per_sentence_paths():
-    sentences = mixed_batch()  # two share a length, two do not
+    sentences = mixed_batch()
     model = tiny_model(sentences)
     batched = [l.item() for l in batch_losses(model, sentences)]
     singles = [batch_losses(model, [s])[0].item() for s in sentences]
@@ -484,8 +484,8 @@ def test_batch_losses_match_per_sentence_paths():
 
 
 def mixed_batch():
-    """m=2 and m=3 sentences of 3, 4 and 6 tokens; two share the 4-token
-    length, so one encoder run covers both."""
+    """m=2 and m=3 sentences of 4, 6, 3 and 4 tokens, in that order; the
+    three m=2 sentences mix two lengths."""
     dan = normalize_sentence(
         make_sentence("toy-dan", ["dan", "likes", "eve"], [(0, 1), (2, 3)], [(0, 1, "likes")]),
         TOY_RELATIONS,
@@ -495,6 +495,41 @@ def mixed_batch():
         TOY_RELATIONS,
     )
     return [two_entity_sentence(), three_entity_sentence(), dan, carl]
+
+
+def test_mixed_lengths_take_one_encoder_run_in_graph_order(monkeypatch):
+    """Whatever token lengths a batch mixes, each encoder records one
+    ``bilstm_sequence`` over all its contexts, the stacks hold the graphs
+    in batch order, a batch of one m propagates its stacks without
+    gathering their rows, and ``predict_pairs`` over the batch is each
+    sentence's own call bit for bit."""
+    import gpgnn.layers
+    import gpgnn.model
+
+    sentences = mixed_batch()
+    model = tiny_model(sentences, seed=11, layers=2)
+    graphs = [build_entity_graph(s) for s in sentences]
+    sizes = [len(g.edges) for g in graphs]
+    encoded = []
+    bilstm = gpgnn.layers.bilstm_sequence
+    monkeypatch.setattr(gpgnn.layers, "bilstm_sequence", lambda *a: encoded.append(a[3].sequences) or bilstm(*a))
+    matrices = transition_matrices(model, graphs)
+    assert encoded == [sum(sizes)] * 2
+    assert matrices.starts.tolist() == [0, 2, 8, 10]
+
+    same_m = [g for g in graphs if g.m == 2]
+    assert sorted(g.markers.shape[1] for g in same_m) == [3, 4, 4]
+    matrices = transition_matrices(model, same_m)
+    gathered = []
+    gather = gpgnn.model.gather_rows
+    monkeypatch.setattr(gpgnn.model, "gather_rows", lambda x, rows: gathered.append(x) or gather(x, rows))
+    model.pair_logits(same_m, matrices)
+    assert gathered and not any(x is stack for x in gathered for stack in matrices.stacks)
+    monkeypatch.undo()
+
+    batched = np.stack([r.probs for r in predict_pairs(model, sentences)])
+    alone = np.concatenate([np.stack([r.probs for r in predict_pairs(model, [s])]) for s in sentences])
+    assert np.array_equal(batched, alone)
 
 
 @pytest.mark.parametrize("layers, tied", [(1, False), (2, False), (1, True), (2, True)],
